@@ -1,4 +1,4 @@
-//! Criterion benches for the DESIGN.md §4 ablations: imprints, automatic
+//! Criterion benches for the design-choice ablations: imprints, automatic
 //! hash indexes, order index, heap dedup, transfer modes.
 
 use criterion::{criterion_group, criterion_main, Criterion};

@@ -1,5 +1,5 @@
 //! The paper-reproduction driver: regenerates every table and figure of
-//! the evaluation section (see EXPERIMENTS.md).
+//! the evaluation section.
 //!
 //! ```text
 //! repro [--sf X] [--rows N] [--runs K] [--timeout SECS] <experiment...>
@@ -80,9 +80,14 @@ fn main() {
                 );
             }
             "fig2" => {
-                let (cells, explain) = fig2_mitosis(2_000_000, &[1, 2, 4, 8]);
-                print_figure("Figure 2: SELECT MEDIAN(SQRT(i*2)) FROM tbl (2M rows) (s)", &cells);
-                println!("\n-- EXPLAIN (8 threads) --\n{explain}");
+                let fig = fig2_parallel(2_000_000, &[1, 2, 4, 8]);
+                print_figure(
+                    "Figure 2: SELECT MEDIAN(SQRT(i*2)) FROM tbl (2M rows) (s)",
+                    &fig.cells,
+                );
+                let answers: Vec<String> = fig.answers.iter().map(|a| a.to_string()).collect();
+                println!("  answers: {}", answers.join(", "));
+                println!("\n-- EXPLAIN (8 threads) --\n{}", fig.explain);
             }
             "fig7" => {
                 print_figure("Figure 7: loading the 274-column ACS table (s)", &fig7_acs_load(&cfg))
@@ -94,7 +99,8 @@ fn main() {
     }
 }
 
-/// Design-choice ablations called out in DESIGN.md §4.
+/// Design-choice ablations: transfer modes, imprints, order index,
+/// automatic hash index, string-heap dedup and thread scaling.
 fn ablations(cfg: &BenchConfig) {
     use monetlite::exec::ExecOptions;
     use monetlite::host::{HostFrame, TransferMode};
@@ -201,7 +207,7 @@ fn ablations(cfg: &BenchConfig) {
     }
     print_figure("Ablation: string heap duplicate elimination (200k strings, 1k distinct)", &rows);
 
-    // 6. Mitosis thread scaling on the Figure 2 query.
-    let (cells, _) = fig2_mitosis(1_000_000, &[1, 2, 4, 8]);
-    print_figure("Ablation: mitosis thread scaling (1M-row median)", &cells);
+    // 6. Morsel-parallel thread scaling on the Figure 2 query.
+    let fig = fig2_parallel(1_000_000, &[1, 2, 4, 8]);
+    print_figure("Ablation: parallel thread scaling (1M-row median)", &fig.cells);
 }

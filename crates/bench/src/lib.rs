@@ -2,9 +2,10 @@
 //!
 //! The reproduction harness: one function per table/figure of the paper's
 //! evaluation (§4), shared by the `repro` binary and the Criterion
-//! benches. See EXPERIMENTS.md for paper-vs-measured results.
+//! benches. Recorded results live in the `BENCH_*.json` snapshots; the
+//! repository benchmark is `perfbench/` (see `perfbench/README.md`).
 //!
-//! Systems under test (paper §4.1 → our substitutions, DESIGN.md §1):
+//! Systems under test (paper §4.1 → our substitutions):
 //!
 //! | paper        | here |
 //! |--------------|------|
@@ -542,7 +543,7 @@ pub fn table1(cfg: &BenchConfig, sf10: bool) -> (Vec<String>, Vec<(String, Vec<C
         rows.push((label, cells));
     }
     // The library baseline (one stands in for data.table/dplyr/Pandas/
-    // Julia, DESIGN.md §1): memory budget = 2× the dataset at "SF10".
+    // Julia): memory budget = 2× the dataset at "SF10".
     let budget = if sf10 { data.bytes() * 2 } else { usize::MAX };
     let session = Session::with_budget(budget);
     let loaded = frames::TpchFrames::load(&session, &data);
@@ -566,49 +567,56 @@ pub fn table1(cfg: &BenchConfig, sf10: bool) -> (Vec<String>, Vec<(String, Vec<C
 }
 
 // ---------------------------------------------------------------------------
-// Figure 2: mitosis (SELECT MEDIAN(SQRT(i*2)) FROM tbl)
+// Figure 2: parallel execution (SELECT MEDIAN(SQRT(i*2)) FROM tbl)
 // ---------------------------------------------------------------------------
 
-/// Figure 2: the parallel-execution example. Returns (threads, seconds)
-/// plus the EXPLAIN text showing the packed plan.
-pub fn fig2_mitosis(rows: usize, threads: &[usize]) -> (Vec<(String, Cell)>, String) {
+/// Figure 2 on the streaming engine.
+#[derive(Debug)]
+pub struct Fig2 {
+    /// Time per configuration: one row per requested thread count, then
+    /// one whole-table morsel on one thread (operator-at-a-time).
+    pub cells: Vec<(String, Cell)>,
+    /// The median each configuration returned, in `cells` order.
+    pub answers: Vec<monetlite_types::Value>,
+    /// EXPLAIN at 8 threads: morsels feeding a global-aggregate sink.
+    pub explain: String,
+}
+
+/// Figure 2: the paper's parallel-execution example. The paper splits
+/// the column into mitosis chunks; here the scan is split into morsels
+/// of the default 64Ki-row vector, one pipeline feeding per-thread
+/// partial aggregates that merge before the blocking median.
+pub fn fig2_parallel(rows: usize, threads: &[usize]) -> Fig2 {
     let db = uncached_db();
     let mut conn = db.connect();
     conn.execute("CREATE TABLE tbl (i INTEGER NOT NULL)").unwrap();
     conn.append("tbl", vec![ColumnBuffer::Int((0..rows as i32).map(|x| x % 100_000).collect())])
         .unwrap();
     let sql = "SELECT median(sqrt(i * 2)) FROM tbl";
-    let mut out = Vec::new();
-    // Figure 2 reproduces the paper's mitosis, which lives in the
-    // materialized (operator-at-a-time) engine; the streaming engine's
-    // parallelism is measured by the pipeline benches instead.
-    for &t in threads {
-        let mut opts = ExecOptions {
-            mode: monetlite::exec::ExecMode::Materialized,
-            threads: t,
-            mitosis_min_rows: 16 * 1024,
-            ..uncached_opts()
-        };
+    let morsels = |threads| ExecOptions { threads, vector_size: 64 * 1024, ..uncached_opts() };
+    let mut configs: Vec<(String, ExecOptions)> =
+        threads.iter().map(|&t| (format!("{t} thread(s)"), morsels(t))).collect();
+    configs.push((
+        "1 thread, one morsel (operator-at-a-time)".to_string(),
+        ExecOptions { threads: 1, vector_size: usize::MAX, ..uncached_opts() },
+    ));
+    let mut fig = Fig2 { cells: Vec::new(), answers: Vec::new(), explain: String::new() };
+    for (label, mut opts) in configs {
         opts.timeout = None;
         conn.set_exec_options(opts);
-        out.push((
-            format!("{t} thread(s)"),
-            measure(3, || {
-                conn.query(sql)?;
-                Ok(())
-            }),
-        ));
+        let mut answer = monetlite_types::Value::Null;
+        let cell = measure(3, || {
+            answer = conn.query(sql)?.value(0, 0);
+            Ok(())
+        });
+        fig.cells.push((label, cell));
+        fig.answers.push(answer);
     }
-    let mut opts = ExecOptions {
-        mode: monetlite::exec::ExecMode::Materialized,
-        threads: 8,
-        ..uncached_opts()
-    };
-    opts.mitosis_min_rows = 16 * 1024;
-    conn.set_exec_options(opts);
+    conn.set_exec_options(morsels(8));
     let explain = conn.query(&format!("EXPLAIN {sql}")).unwrap();
     let text: Vec<String> = (0..explain.nrows()).map(|i| explain.value(i, 0).to_string()).collect();
-    (out, text.join("\n"))
+    fig.explain = text.join("\n");
+    fig
 }
 
 // ---------------------------------------------------------------------------
@@ -831,8 +839,15 @@ mod tests {
 
     #[test]
     fn fig2_parallel_speedup_shape() {
-        let (cells, explain) = fig2_mitosis(400_000, &[1, 4]);
-        assert!(explain.contains("mitosis"));
+        // 1 and 4 threads first: the timing check below reads cells 0
+        // and 1. The single-morsel run comes last.
+        let fig = fig2_parallel(400_000, &[1, 4, 2]);
+        assert!(fig.explain.contains("global-aggregate"), "{}", fig.explain);
+        assert!(fig.explain.contains("threads=8"), "{}", fig.explain);
+        assert_eq!(fig.answers.len(), 4);
+        assert!(!fig.answers[0].is_null());
+        assert!(fig.answers.iter().all(|a| *a == fig.answers[0]), "{:?}", fig.answers);
+        let cells = fig.cells;
         let t1 = cells[0].1.seconds().unwrap();
         let t4 = cells[1].1.seconds().unwrap();
         // Parallel must not be dramatically slower (allow noise).

@@ -3,9 +3,10 @@
 //! Grouping hashes composite keys (NULLs group together, SQL semantics),
 //! assigning each row a dense group id; the per-function accumulators then
 //! run column-at-a-time over the group-id vector. MEDIAN is the blocking
-//! aggregate of the paper's Figure 2: it buffers all values per group, so
-//! mitosis must pack chunks before it runs; SUM/COUNT/MIN/MAX/AVG expose
-//! partial/merge forms used by the parallel executor.
+//! aggregate of the paper's Figure 2: its per-morsel partials buffer every
+//! value and only the merged state finalises; SUM/COUNT/MIN/MAX/AVG keep
+//! constant-size partials. Every function has the partial/merge form the
+//! streaming engine's morsel workers use.
 
 use crate::expr::PAggFunc;
 use crate::rows::{col_eq, row_hash, rows_eq};

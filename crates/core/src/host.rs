@@ -2,8 +2,7 @@
 //! host "analytical environment" with zero-copy, eager, or lazy
 //! conversion.
 //!
-//! The paper's three mechanisms map to safe Rust as follows (see
-//! DESIGN.md §7 for the full argument):
+//! The paper's three mechanisms map to safe Rust as follows:
 //!
 //! | paper                                   | here                        |
 //! |-----------------------------------------|-----------------------------|

@@ -1,17 +1,16 @@
-//! Join kernels: hash join (inner/left/semi/anti), merge join over order
-//! indexes, and cross products.
+//! Join kernels: hash join (inner/left/semi/anti) and cross products.
 //!
-//! The hash join "builds" on the right input. When the build side is a
-//! bare persistent column, the executor passes its automatically
-//! maintained [`HashIndex`] (paper §3.1: "Hash tables are also
-//! automatically created for persistent columns when they are used in
-//! groupings or as join keys in equi-joins") — the build phase then
-//! disappears entirely. The order-index merge join implements the paper's
-//! "For joins, the order index is used for a merge join."
+//! The hash join "builds" on the right input once ([`build_hash_map`])
+//! and probes it vector-at-a-time ([`probe_hash`]). When the build side
+//! is a bare persistent column, the executor probes its automatically
+//! maintained [`HashIndex`] instead ([`probe_index`]; paper §3.1: "Hash
+//! tables are also automatically created for persistent columns when they
+//! are used in groupings or as join keys in equi-joins") — the build
+//! phase then disappears entirely.
 
 use crate::plan::PJoinKind;
 use crate::rows::{any_null, row_hash, rows_eq, NO_ROW};
-use monetlite_storage::index::{key_at, HashIndex, OrderIndex};
+use monetlite_storage::index::{key_at, HashIndex};
 use monetlite_storage::Bat;
 use monetlite_types::{MlError, Result};
 use std::collections::HashMap;
@@ -37,29 +36,6 @@ impl JoinSel {
             *l = sel[*l as usize];
         }
     }
-}
-
-/// Hash join over aligned key column sets: build then probe in one call
-/// (the materialized engine's entry point). The streaming engine builds
-/// once with [`build_hash_map`] and probes vector-at-a-time with
-/// [`probe_hash`]/[`probe_index`].
-pub fn hash_join(
-    lkeys: &[&Bat],
-    rkeys: &[&Bat],
-    kind: PJoinKind,
-    prebuilt: Option<&HashIndex>,
-) -> Result<JoinSel> {
-    if lkeys.len() != rkeys.len() || lkeys.is_empty() {
-        return Err(MlError::Execution("hash join requires aligned non-empty keys".into()));
-    }
-    // Fast path: a single-key join probing a prebuilt per-column hash
-    // index (candidates verified exactly, as MonetDB does).
-    if let (Some(idx), 1) = (prebuilt, rkeys.len()) {
-        return Ok(probe_index(lkeys, rkeys, idx, kind));
-    }
-    // General path: build a transient table on the right side.
-    let table = build_hash_map(rkeys);
-    Ok(probe_hash(lkeys, rkeys, &table, kind))
 }
 
 /// The hash-join build phase: bucket every non-NULL build row by its
@@ -165,53 +141,6 @@ fn finish_probe(out: &mut JoinSel, kind: PJoinKind, l: u32, matched: bool) {
     }
 }
 
-/// Inner merge join over two order indexes (single equi-key). Produces
-/// the same pairs as [`hash_join`], in key order.
-pub fn merge_join(lkey: &Bat, lidx: &OrderIndex, rkey: &Bat, ridx: &OrderIndex) -> JoinSel {
-    let lperm = lidx.perm();
-    let rperm = ridx.perm();
-    let mut out = JoinSel::default();
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < lperm.len() && j < rperm.len() {
-        let li = lperm[i] as usize;
-        let rj = rperm[j] as usize;
-        if lkey.is_null_at(li) {
-            i += 1;
-            continue;
-        }
-        if rkey.is_null_at(rj) {
-            j += 1;
-            continue;
-        }
-        let lk = key_at(lkey, li);
-        let rk = key_at(rkey, rj);
-        match lk.cmp(&rk) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                // Emit the full cartesian block of equal keys.
-                let mut jend = j;
-                while jend < rperm.len() && key_at(rkey, rperm[jend] as usize) == rk {
-                    jend += 1;
-                }
-                let mut iend = i;
-                while iend < lperm.len() && key_at(lkey, lperm[iend] as usize) == lk {
-                    iend += 1;
-                }
-                for &lr in &lperm[i..iend] {
-                    for &rr in &rperm[j..jend] {
-                        out.lsel.push(lr);
-                        out.rsel.push(rr);
-                    }
-                }
-                i = iend;
-                j = jend;
-            }
-        }
-    }
-    out
-}
-
 /// Pairs of a **scalar join** — a key-less LEFT join as planned by the
 /// binder for uncorrelated scalar subqueries: the right side must hold at
 /// most one row; zero rows pad every probe row with NULL (SQL's empty
@@ -244,8 +173,22 @@ pub fn cross_join(lrows: usize, rrows: usize) -> JoinSel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use monetlite_storage::index::OrderIndex;
     use monetlite_types::nulls::NULL_I32;
+
+    /// Build then probe in one call: the prebuilt-index probe for a
+    /// single key when `idx` is given, the transient build table
+    /// otherwise.
+    fn build_and_probe(
+        lkeys: &[&Bat],
+        rkeys: &[&Bat],
+        kind: PJoinKind,
+        idx: Option<&HashIndex>,
+    ) -> JoinSel {
+        match idx {
+            Some(idx) => probe_index(lkeys, rkeys, idx, kind),
+            None => probe_hash(lkeys, rkeys, &build_hash_map(rkeys), kind),
+        }
+    }
 
     fn pairs(sel: &JoinSel) -> Vec<(u32, u32)> {
         let mut v: Vec<(u32, u32)> =
@@ -258,7 +201,7 @@ mod tests {
     fn inner_join_basic() {
         let l = Bat::Int(vec![1, 2, 3, 2]);
         let r = Bat::Int(vec![2, 4, 1]);
-        let out = hash_join(&[&l], &[&r], PJoinKind::Inner, None).unwrap();
+        let out = build_and_probe(&[&l], &[&r], PJoinKind::Inner, None);
         assert_eq!(pairs(&out), vec![(0, 2), (1, 0), (3, 0)]);
     }
 
@@ -266,7 +209,7 @@ mod tests {
     fn left_join_pads() {
         let l = Bat::Int(vec![1, 9]);
         let r = Bat::Int(vec![1]);
-        let out = hash_join(&[&l], &[&r], PJoinKind::Left, None).unwrap();
+        let out = build_and_probe(&[&l], &[&r], PJoinKind::Left, None);
         assert_eq!(out.lsel, vec![0, 1]);
         assert_eq!(out.rsel, vec![0, NO_ROW]);
     }
@@ -275,10 +218,10 @@ mod tests {
     fn semi_and_anti() {
         let l = Bat::Int(vec![1, 2, 3]);
         let r = Bat::Int(vec![2, 2, 5]);
-        let semi = hash_join(&[&l], &[&r], PJoinKind::Semi, None).unwrap();
+        let semi = build_and_probe(&[&l], &[&r], PJoinKind::Semi, None);
         assert_eq!(semi.lsel, vec![1]);
         assert!(semi.rsel.is_empty());
-        let anti = hash_join(&[&l], &[&r], PJoinKind::Anti, None).unwrap();
+        let anti = build_and_probe(&[&l], &[&r], PJoinKind::Anti, None);
         assert_eq!(anti.lsel, vec![0, 2]);
     }
 
@@ -286,13 +229,13 @@ mod tests {
     fn null_keys_never_match() {
         let l = Bat::Int(vec![NULL_I32, 1]);
         let r = Bat::Int(vec![NULL_I32, 1]);
-        let out = hash_join(&[&l], &[&r], PJoinKind::Inner, None).unwrap();
+        let out = build_and_probe(&[&l], &[&r], PJoinKind::Inner, None);
         assert_eq!(pairs(&out), vec![(1, 1)]);
         // Anti keeps NULL-keyed left rows (no match possible).
-        let anti = hash_join(&[&l], &[&r], PJoinKind::Anti, None).unwrap();
+        let anti = build_and_probe(&[&l], &[&r], PJoinKind::Anti, None);
         assert_eq!(anti.lsel, vec![0]);
         // Left join pads NULL-keyed rows.
-        let left = hash_join(&[&l], &[&r], PJoinKind::Left, None).unwrap();
+        let left = build_and_probe(&[&l], &[&r], PJoinKind::Left, None);
         assert_eq!(left.rsel, vec![NO_ROW, 1]);
     }
 
@@ -302,7 +245,7 @@ mod tests {
         let l2 = Bat::Int(vec![10, 20, 10]);
         let r1 = Bat::Int(vec![1, 2]);
         let r2 = Bat::Int(vec![20, 10]);
-        let out = hash_join(&[&l1, &l2], &[&r1, &r2], PJoinKind::Inner, None).unwrap();
+        let out = build_and_probe(&[&l1, &l2], &[&r1, &r2], PJoinKind::Inner, None);
         assert_eq!(pairs(&out), vec![(1, 0), (2, 1)]);
     }
 
@@ -312,22 +255,11 @@ mod tests {
         let r = Bat::Int(vec![1, 5, 9, 1]);
         let idx = HashIndex::build(&(0..r.len()).map(|i| key_at(&r, i)).collect::<Vec<_>>());
         for kind in [PJoinKind::Inner, PJoinKind::Left, PJoinKind::Semi, PJoinKind::Anti] {
-            let with_idx = hash_join(&[&l], &[&r], kind, Some(&idx)).unwrap();
-            let without = hash_join(&[&l], &[&r], kind, None).unwrap();
+            let with_idx = build_and_probe(&[&l], &[&r], kind, Some(&idx));
+            let without = build_and_probe(&[&l], &[&r], kind, None);
             assert_eq!(pairs(&with_idx), pairs(&without), "{kind:?}");
             assert_eq!(with_idx.lsel.len(), without.lsel.len());
         }
-    }
-
-    #[test]
-    fn merge_join_matches_hash_join() {
-        let l = Bat::Int(vec![5, 3, 1, 3]);
-        let r = Bat::Int(vec![3, 5, 3, 7]);
-        let lidx = OrderIndex::build(&(0..l.len()).map(|i| key_at(&l, i)).collect::<Vec<_>>());
-        let ridx = OrderIndex::build(&(0..r.len()).map(|i| key_at(&r, i)).collect::<Vec<_>>());
-        let merged = merge_join(&l, &lidx, &r, &ridx);
-        let hashed = hash_join(&[&l], &[&r], PJoinKind::Inner, None).unwrap();
-        assert_eq!(pairs(&merged), pairs(&hashed));
     }
 
     #[test]
@@ -349,7 +281,7 @@ mod tests {
             Some("GERMANY".into()),
             Some("FRANCE".into()),
         ]));
-        let out = hash_join(&[&l], &[&r], PJoinKind::Inner, None).unwrap();
+        let out = build_and_probe(&[&l], &[&r], PJoinKind::Inner, None);
         assert_eq!(pairs(&out), vec![(0, 1), (1, 0)]);
     }
 }

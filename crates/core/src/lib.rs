@@ -20,8 +20,9 @@
 //!   elimination, vmem paging, WAL, optimistic-concurrency catalog.
 //! * [`bind`] / [`plan`] / [`opt`] — SQL → relational algebra → optimized
 //!   plan (filter/projection push-down, join ordering, decorrelation).
-//! * [`exec`] — column-at-a-time execution with candidate lists, automatic
-//!   indexes (imprints, hash tables, order index) and mitosis parallelism.
+//! * [`exec`] / [`pipeline`] — vectorized streaming execution with
+//!   candidate lists, automatic indexes (imprints, hash tables, order
+//!   index) and morsel parallelism.
 //! * [`mal`] — EXPLAIN rendering in MAL form.
 //! * [`host`] — the embedding boundary: zero-copy, eager and lazy result
 //!   transfer into host-native arrays (§3.3).
@@ -796,33 +797,45 @@ impl Connection {
     }
 
     fn run_select(&mut self, sel: &ast::SelectStmt) -> Result<QueryResult> {
-        let (chunk, names, types, counters) = {
+        let (result, counters) = {
             let txn = self.txn.as_ref().expect("txn");
             let view = TxnView { tables: &txn.tables, views: &txn.views };
             let stats = opt::ModedStats { inner: &view, mode: self.stats_mode };
             let plan = Binder::new(&view).bind_select(sel)?;
             let plan = opt::optimize(plan, self.opt_flags, &stats, &view)?;
-            // The store's paging manager supplies the memory budget when
-            // ExecOptions leaves it unset: operator state competes with
-            // resident columns for the same byte budget, and pipeline
-            // breakers spill once it is exceeded.
-            let ctx = ExecContext::new(&view, self.exec_opts)
-                .with_vmem(self.store.vmem().clone())
-                .with_interrupt(self.interrupt.clone());
-            let chunk = exec::execute(&plan, &ctx)?;
-            let names: Vec<String> = plan.schema().iter().map(|c| c.name.clone()).collect();
-            let types: Vec<LogicalType> = plan.schema().iter().map(|c| c.ty).collect();
-            // The counter estimate reads only *cached* statistics: a
-            // joinless query whose planning never consulted stats must
-            // not pay a full column scan for a diagnostic.
-            let cached = CachedTxnStats(&view);
-            let counter_stats = opt::ModedStats { inner: &cached, mode: self.stats_mode };
-            let mut counters = ctx.counters.snapshot();
-            counters.estimated_rows = opt::estimate_rows(&plan, &counter_stats).round() as u64;
-            (chunk, names, types, counters)
+            self.execute_select(&plan, &view)?
         };
         self.last_counters = Some(counters);
-        Ok(QueryResult { names, types, cols: chunk.cols, rows: chunk.rows, rows_affected: 0 })
+        Ok(result)
+    }
+
+    /// The tail every SELECT path shares: execute an optimized plan and
+    /// assemble its result and counters.
+    fn execute_select(
+        &self,
+        plan: &plan::Plan,
+        view: &TxnView,
+    ) -> Result<(QueryResult, exec::CountersSnapshot)> {
+        // The store's paging manager supplies the memory budget when
+        // ExecOptions leaves it unset: operator state competes with
+        // resident columns for the same byte budget, and pipeline
+        // breakers spill once it is exceeded.
+        let ctx = ExecContext::new(view, self.exec_opts)
+            .with_vmem(self.store.vmem().clone())
+            .with_interrupt(self.interrupt.clone());
+        let chunk = exec::execute(plan, &ctx)?;
+        let names: Vec<String> = plan.schema().iter().map(|c| c.name.clone()).collect();
+        let types: Vec<LogicalType> = plan.schema().iter().map(|c| c.ty).collect();
+        // The counter estimate reads only *cached* statistics: a joinless
+        // query whose planning never consulted stats must not pay a full
+        // column scan for a diagnostic.
+        let cached = CachedTxnStats(view);
+        let counter_stats = opt::ModedStats { inner: &cached, mode: self.stats_mode };
+        let mut counters = ctx.counters.snapshot();
+        counters.estimated_rows = opt::estimate_rows(plan, &counter_stats).round() as u64;
+        let result =
+            QueryResult { names, types, cols: chunk.cols, rows: chunk.rows, rows_affected: 0 };
+        Ok((result, counters))
     }
 
     /// Cache-key component covering everything besides the statement and
@@ -943,22 +956,11 @@ impl Connection {
             // shapes as an uncached plan.
             let plan = opt::fold_constants(plan)?;
 
-            let ctx = ExecContext::new(&view, self.exec_opts)
-                .with_vmem(self.store.vmem().clone())
-                .with_interrupt(self.interrupt.clone());
-            let chunk = exec::execute(&plan, &ctx)?;
-            let names: Vec<String> = plan.schema().iter().map(|c| c.name.clone()).collect();
-            let types: Vec<LogicalType> = plan.schema().iter().map(|c| c.ty).collect();
-            let cached = CachedTxnStats(&view);
-            let counter_stats = opt::ModedStats { inner: &cached, mode: self.stats_mode };
-            let mut counters = ctx.counters.snapshot();
-            counters.estimated_rows = opt::estimate_rows(&plan, &counter_stats).round() as u64;
+            let (result, mut counters) = self.execute_select(&plan, &view)?;
             if plan_hit {
                 counters.plan_cache_hits = 1;
                 self.plan_cache.hits.fetch_add(1, Ordering::Relaxed);
             }
-            let result =
-                QueryResult { names, types, cols: chunk.cols, rows: chunk.rows, rows_affected: 0 };
             // Populate the result cache from this execution.
             let store_result = (use_result && cacheable)
                 .then(|| plan_cache::collect_deps(&plan, &txn.tables))

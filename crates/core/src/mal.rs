@@ -3,10 +3,11 @@
 //! The engine executes the plan tree directly, but EXPLAIN presents it in
 //! the shape MonetDB users know: a straight-line program of column-at-a-
 //! time instructions over SSA registers (`X_n` value columns, `C_n`
-//! candidate lists), plus the mitosis annotation when the executor would
-//! parallelise (paper §3.1 *Parallel Execution*, Figure 2).
+//! candidate lists). How that program runs — pipelines, morsels and
+//! threads (paper §3.1 *Parallel Execution*, Figure 2) — is the
+//! `-- pipelines` section.
 
-use crate::exec::{ExecMode, ExecOptions};
+use crate::exec::ExecOptions;
 use crate::expr::BExpr;
 use crate::opt::Stats;
 use crate::plan::{PJoinKind, Plan};
@@ -24,12 +25,10 @@ pub fn explain(plan: &Plan, opts: &ExecOptions, stats: Option<&dyn Stats>) -> St
         out.push_str("-- stats\n");
         render_estimates(plan, s, &mut out, 0);
     }
-    if opts.mode == ExecMode::Streaming {
-        out.push_str(&crate::pipeline::describe(plan, opts, stats));
-    }
+    out.push_str(&crate::pipeline::describe(plan, opts, stats));
     out.push_str("-- MAL program\n");
     out.push_str("function user.main():void;\n");
-    let mut r = Renderer { next: 0, out: String::new(), opts: *opts };
+    let mut r = Renderer { next: 0, out: String::new() };
     let regs = r.node(plan);
     let _ = writeln!(r.out, "    sql.resultSet({});", regs.join(", "));
     out.push_str(&r.out);
@@ -89,7 +88,6 @@ fn render_estimates(plan: &Plan, stats: &dyn Stats, out: &mut String, depth: usi
 struct Renderer {
     next: usize,
     out: String,
-    opts: ExecOptions,
 }
 
 impl Renderer {
@@ -199,16 +197,6 @@ impl Renderer {
                 regs
             }
             Plan::Aggregate { input, groups, aggs, .. } => {
-                let mitosis = self.opts.mode == ExecMode::Materialized
-                    && self.opts.threads > 1
-                    && groups.is_empty();
-                if mitosis {
-                    let _ = writeln!(
-                        self.out,
-                        "    -- mitosis: parallelizable prefix fans out over {} threads, packed before blocking aggregate",
-                        self.opts.threads
-                    );
-                }
                 let inregs = self.node(input);
                 let mut regs = Vec::new();
                 let (g, e, h) = (self.reg("G"), self.reg("E"), self.reg("H"));
@@ -330,7 +318,7 @@ mod tests {
         assert!(s.contains("function user.main():void;"));
         assert!(s.contains("sql.bind(\"t\", \"a\")"));
         assert!(s.contains("end user.main;"));
-        // Streaming mode renders the pipeline decomposition.
+        // The pipeline decomposition always renders.
         assert!(s.contains("-- pipelines"), "{s}");
         assert!(s.contains("scan t [morsels=?]"), "{s}");
     }
@@ -356,10 +344,6 @@ mod tests {
         // 200_000 rows / 65_536-row vectors = 4 morsels.
         assert!(s.contains("scan t [morsels=4]"), "{s}");
         assert!(s.contains("threads=4"), "{s}");
-        // Materialized mode omits the pipeline section entirely.
-        let mat = ExecOptions { mode: crate::exec::ExecMode::Materialized, ..Default::default() };
-        let s2 = explain(&plan, &mat, Some(&FixedStats));
-        assert!(!s2.contains("-- pipelines"), "{s2}");
     }
 
     #[test]
@@ -441,7 +425,7 @@ mod tests {
     }
 
     #[test]
-    fn mitosis_annotation_appears_with_threads() {
+    fn global_aggregate_is_a_parallel_pipeline_sink() {
         let plan = Plan::Aggregate {
             input: Box::new(Plan::Scan {
                 table: "t".into(),
@@ -458,33 +442,12 @@ mod tests {
             }],
             schema: vec![OutCol { name: "m".into(), ty: LogicalType::Double }],
         };
-        // Mitosis is a materialized-engine tactic; the annotation only
-        // renders there.
-        let par = explain(
-            &plan,
-            &ExecOptions {
-                mode: crate::exec::ExecMode::Materialized,
-                threads: 8,
-                ..Default::default()
-            },
-            None,
-        );
-        assert!(par.contains("mitosis"), "{par}");
+        // Figure 2's parallel median: the scan fans out over morsels into
+        // a global-aggregate sink whose partials merge before the blocking
+        // MEDIAN finalisation.
+        let par = explain(&plan, &ExecOptions { threads: 8, ..Default::default() }, None);
+        assert!(par.contains("threads=8"), "{par}");
+        assert!(par.contains("global-aggregate"), "{par}");
         assert!(par.contains("blocking"), "{par}");
-        // threads pinned to 1: the annotation must not appear for a
-        // sequential plan even under the CI env matrix.
-        let seq = explain(
-            &plan,
-            &ExecOptions {
-                mode: crate::exec::ExecMode::Materialized,
-                threads: 1,
-                ..Default::default()
-            },
-            None,
-        );
-        assert!(!seq.contains("mitosis"));
-        // Streaming EXPLAIN shows the aggregate as a pipeline sink instead.
-        let stream = explain(&plan, &ExecOptions { threads: 8, ..Default::default() }, None);
-        assert!(stream.contains("global-aggregate"), "{stream}");
     }
 }

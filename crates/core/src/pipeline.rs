@@ -1,10 +1,11 @@
 //! The streaming vectorized execution engine.
 //!
-//! Where [`crate::exec`] reproduces the paper's operator-at-a-time model —
-//! every node materialises its full output before the parent runs — this
-//! module executes plans as **pipelines over fixed-size vectors**
-//! (~64K rows, [`ExecOptions::vector_size`]), the chunk-at-a-time design
-//! of MonetDBLite's successor lineage (DuckDB; see PAPERS.md).
+//! Plans execute as **pipelines over fixed-size vectors** (~64K rows,
+//! [`ExecOptions::vector_size`]), the chunk-at-a-time design of
+//! MonetDBLite's successor lineage (DuckDB; see PAPERS.md). The paper's
+//! operator-at-a-time model — every node materialises its full output
+//! before the parent runs — is the one-morsel configuration: a vector at
+//! least as large as the table, on one thread.
 //!
 //! A plan tree is broken at **pipeline breakers** — operators that must
 //! see their whole input before producing output: hash-join *build*,
@@ -16,22 +17,21 @@
 //! through the operator chain and folds the result into a thread-local
 //! partial sink state; partials merge once all morsels are drained.
 //!
-//! Compared to the materialized engine's mitosis (which parallelises only
-//! a select/project/decomposable-global-aggregate prefix), morsel
-//! parallelism here covers whole query shapes: parallel scans feed
-//! per-thread **partial hash aggregation** with a mapped merge
-//! ([`GroupTable`] + [`AggState::merge_mapped`]), parallel **hash-join
-//! probes** over a build table constructed once, and order-preserving
-//! parallel collection for sort/top-n/limit/distinct.
-//!
-//! Both engines produce identical results; `ExecOptions::mode` selects
-//! between them and the parity suites assert agreement.
+//! The paper's mitosis (Figure 2) parallelises only a select/project/
+//! decomposable-global-aggregate prefix; morsel parallelism covers whole
+//! query shapes: parallel scans feed per-thread **partial hash
+//! aggregation** with a mapped merge ([`GroupTable`] +
+//! [`AggState::merge_mapped`]), parallel **hash-join probes** over a
+//! build table constructed once, and order-preserving parallel collection
+//! for sort/top-n/limit/distinct. Every thread count and vector size
+//! produces the same answer; the parity suites check it against the
+//! row-store oracle.
 
 use crate::agg::{hash_group, hash_group_at, AggState, GroupTable};
 use crate::bloom::Bloom;
 use crate::exec::{
-    bare_scan_hash_entry, exec_scan_streaming, exec_values, finish_join_output, project_cols,
-    Chunk, ExecContext, ExecOptions,
+    bare_scan_hash_entry, exec_scan, exec_values, finish_join_output, project_cols, Chunk,
+    ExecContext, ExecOptions,
 };
 use crate::expr::{AggSpec, BExpr};
 use crate::join::{build_hash_map, probe_hash, probe_index};
@@ -89,7 +89,7 @@ impl Source<'_> {
                 // column sharing. The streaming scan may return a chunk
                 // carrying a candidate list over the base columns.
                 let range = if whole { None } else { Some((lo as u32, hi as u32)) };
-                exec_scan_streaming(table, projected, filters, ctx, range, blooms, extras)
+                exec_scan(table, projected, filters, ctx, range, blooms, extras)
             }
             Source::Mem(c) => Ok(c.slice(lo, hi)),
         }
@@ -317,8 +317,8 @@ where
 
     if threads == 1 {
         // Sequential fast path: no thread spawn, deterministic morsel
-        // order (streaming single-threaded results match the materialized
-        // engine row-for-row).
+        // order (single-threaded results come out in scan order at every
+        // vector size).
         let mut part = new_partial();
         worker(&mut part)?;
         return Ok(vec![part]);
@@ -950,8 +950,8 @@ pub fn execute_streaming(plan: &Plan, ctx: &ExecContext) -> Result<Chunk> {
             let pipe = decompose(input, ctx)?;
             // Per-morsel local dedup (first occurrence wins within a
             // vector), then a global dedup over the packed survivors —
-            // first-occurrence order in morsel order, matching the
-            // materialized engine exactly.
+            // first-occurrence order in morsel order, matching a
+            // whole-table pass exactly.
             let parts = drive(&pipe, ctx, Vec::new, |p: &mut Vec<(usize, Chunk)>, m, c| {
                 if c.rows == 0 {
                     return Ok(true);
@@ -1648,7 +1648,7 @@ fn desc_chain(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{ExecMode, TableProvider};
+    use crate::exec::TableProvider;
     use crate::expr::{AggSpec, CmpOp, PAggFunc};
     use crate::plan::OutCol;
     use monetlite_storage::catalog::{TableData, TableMeta};
@@ -1696,12 +1696,7 @@ mod tests {
     }
 
     fn opts(threads: usize, vector_size: usize) -> crate::exec::ExecOptions {
-        crate::exec::ExecOptions {
-            mode: ExecMode::Streaming,
-            threads,
-            vector_size,
-            ..Default::default()
-        }
+        crate::exec::ExecOptions { threads, vector_size, ..Default::default() }
     }
 
     #[test]

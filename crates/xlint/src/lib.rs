@@ -17,7 +17,9 @@
 //! 4. **Env-var registry** — every `MONETLITE_*` environment variable read
 //!    anywhere in the workspace (or set by CI) must appear in the options
 //!    table in `ARCHITECTURE.md`, and every documented row must still have
-//!    a reader. Undocumented knobs are how ablation flags get lost.
+//!    a reader. Undocumented knobs are how ablation flags get lost. The
+//!    table's Default column must also match the literal default at each
+//!    `env_usize`/`env_bool` read site.
 //! 5. **No-panic hot path** — `unwrap`/`expect`/`panic!`-family macros are
 //!    banned in the non-test code of the six hot-path files; a worker
 //!    thread that panics should never have been able to. The escape hatch
@@ -44,7 +46,7 @@
 
 #![forbid(unsafe_code)]
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -638,16 +640,126 @@ fn collect_env_vars(text: &str, into: &mut BTreeSet<String>) {
     }
 }
 
+/// One `env_usize("MONETLITE_X", <default>)` or `env_bool(..)` call.
+struct DefaultSite {
+    var: String,
+    file: String,
+    line: usize,
+    expr: String,
+    bool_site: bool,
+}
+
+/// Collect the `env_usize`/`env_bool` calls in `text` that read a
+/// `MONETLITE_*` variable, with the source text of their default (up to
+/// the first `)`; a default that holds a call is no literal anyway).
+fn collect_default_sites(text: &str, file: &str, into: &mut Vec<DefaultSite>) {
+    for (reader, bool_site) in [("env_usize(\"", false), ("env_bool(\"", true)] {
+        let mut from = 0;
+        while let Some(p) = text[from..].find(reader) {
+            let at = from + p + reader.len();
+            from = at;
+            let line_start = text[..at].rfind('\n').map_or(0, |i| i + 1);
+            if text[line_start..at].trim_start().starts_with("//") {
+                continue;
+            }
+            let Some(name_len) = text[at..].find('"') else { break };
+            let var = &text[at..at + name_len];
+            let rest = text[at + name_len + 1..].trim_start();
+            let (Some(rest), true) = (rest.strip_prefix(','), var.starts_with("MONETLITE_")) else {
+                continue;
+            };
+            let Some(end) = rest.find(')') else { continue };
+            into.push(DefaultSite {
+                var: var.to_string(),
+                file: file.to_string(),
+                line: text[..at].matches('\n').count() + 1,
+                expr: rest[..end].trim().to_string(),
+                bool_site,
+            });
+        }
+    }
+}
+
+fn int_lit(s: &str) -> Option<u128> {
+    s.trim().trim_end_matches("usize").replace('_', "").parse().ok()
+}
+
+/// Normalize a read site's default: `usize::MAX` → `unset`, `true` /
+/// `false`, or integer literals joined by `*` or `<<` (`64 << 20`) → the
+/// decimal value.
+fn code_default(expr: &str) -> Option<String> {
+    if matches!(expr, "usize::MAX" | "true" | "false") {
+        return Some(expr.replace("usize::MAX", "unset"));
+    }
+    let n = match expr.split_once("<<") {
+        Some((a, b)) => int_lit(a)? << u32::try_from(int_lit(b)?).ok().filter(|&s| s < 64)?,
+        None => expr.split('*').try_fold(1u128, |acc, f| acc.checked_mul(int_lit(f)?))?,
+    };
+    Some(n.to_string())
+}
+
+/// Normalize a registry Default cell the same way: `unset`, `1`/`0` at a
+/// boolean read site, or an integer with an optional `KiB`/`MiB`/`GiB`
+/// unit.
+fn doc_default(cell: &str, bool_site: bool) -> Option<String> {
+    let cell = cell.trim().trim_matches('`');
+    match (cell, bool_site) {
+        ("unset", _) => return Some(cell.to_string()),
+        ("1", true) => return Some("true".to_string()),
+        ("0", true) => return Some("false".to_string()),
+        (_, true) => return None,
+        _ => {}
+    }
+    let (num, unit) = cell.split_once(' ').unwrap_or((cell, ""));
+    let shift = match unit {
+        "" => 0,
+        "KiB" => 10,
+        "MiB" => 20,
+        "GiB" => 30,
+        _ => return None,
+    };
+    Some((int_lit(num)? << shift).to_string())
+}
+
+/// The registry's Default column by variable (empty when the table has
+/// no such column).
+fn registry_defaults(doc: &str) -> BTreeMap<String, String> {
+    let mut out = BTreeMap::new();
+    let mut col: Option<usize> = None;
+    for line in doc.lines().map(str::trim) {
+        if !line.starts_with('|') {
+            col = None;
+            continue;
+        }
+        let cells: Vec<&str> = line.split('|').map(str::trim).collect();
+        if let Some(i) = cells.iter().position(|c| *c == "Default") {
+            col = Some(i);
+            continue;
+        }
+        let (Some(i), Some(first)) = (col, cells.get(1)) else { continue };
+        let mut vars = BTreeSet::new();
+        collect_env_vars(first, &mut vars);
+        if let (Some(v), Some(d)) = (vars.into_iter().next(), cells.get(i)) {
+            out.insert(v, d.to_string());
+        }
+    }
+    out
+}
+
 /// Every `MONETLITE_*` variable referenced in the workspace (sources and
-/// CI) must appear in the ARCHITECTURE.md options table and vice versa.
+/// CI) must appear in the ARCHITECTURE.md options table and vice versa,
+/// and the table's Default column must match each literal default passed
+/// to `env_usize`/`env_bool`.
 pub fn check_env_registry(root: &Path) -> RuleResult {
     const RULE: &str = "env-registry";
     let mut res = RuleResult::default();
 
     let mut used: BTreeSet<String> = BTreeSet::new();
-    let mut use_site: std::collections::BTreeMap<String, String> = Default::default();
+    let mut use_site: BTreeMap<String, String> = Default::default();
+    let mut sites: Vec<DefaultSite> = Vec::new();
     let mut scan = |path: &Path, root: &Path| {
         let Ok(text) = fs::read_to_string(path) else { return };
+        collect_default_sites(&text, &rel(root, path), &mut sites);
         let mut here = BTreeSet::new();
         collect_env_vars(&text, &mut here);
         for v in here {
@@ -704,8 +816,34 @@ pub fn check_env_registry(root: &Path) -> RuleResult {
             res.fail(RULE, arch, 0, format!("`{v}` is documented but nothing reads it any more"));
         }
     }
+    let defaults = registry_defaults(&doc);
+    let mut checked = 0;
+    for site in &sites {
+        let Some(cell) = defaults.get(&site.var) else { continue };
+        match (code_default(&site.expr), doc_default(cell, site.bool_site)) {
+            (Some(code), Some(doc)) if code == doc => checked += 1,
+            (None, _) => res.fail(
+                RULE,
+                &site.file,
+                site.line,
+                format!(
+                    "`{}` default `{}` is not a literal xlint can compare",
+                    site.var, site.expr
+                ),
+            ),
+            (Some(code), _) => res.fail(
+                RULE,
+                arch,
+                0,
+                format!(
+                    "`{}` defaults to {code} at {}:{} but the registry says `{cell}`",
+                    site.var, site.file, site.line
+                ),
+            ),
+        }
+    }
     res.notes.push(format!(
-        "env-registry: {} variable(s) in use, {} documented",
+        "env-registry: {} variable(s) in use, {} documented, {checked} default(s) match",
         used.len(),
         documented.len()
     ));

@@ -176,6 +176,41 @@ fn env_rule_passes_when_registry_matches_reads() {
     assert_clean(&check_env_registry(t.path()));
 }
 
+/// Read sites for the default check: an integer expression, an unset
+/// budget and a boolean toggle.
+const DEFAULT_READS: &str = "fn d() {\n\
+     env_usize(\"MONETLITE_SIZE\", 64 * 1024);\n\
+     env_usize(\"MONETLITE_BUDGET\", usize::MAX);\n\
+     env_bool(\"MONETLITE_TOGGLE\", true);\n}\n";
+
+fn arch_with_defaults(size: &str) -> String {
+    format!(
+        "| Variable | Default | Effect |\n|---|---|---|\n\
+         | `MONETLITE_SIZE` | {size} | rows |\n\
+         | `MONETLITE_BUDGET` | unset | bytes |\n\
+         | `MONETLITE_TOGGLE` | 1 | on/off |\n"
+    )
+}
+
+#[test]
+fn env_rule_fires_on_drifted_default() {
+    // The registry documents 2048 while the code defaults to 64 * 1024.
+    let arch = arch_with_defaults("2048");
+    let t = tree(&[("crates/core/src/exec.rs", DEFAULT_READS), ("ARCHITECTURE.md", &arch)]);
+    let res = check_env_registry(t.path());
+    assert_fires(&res, "env-registry", "`MONETLITE_SIZE` defaults to 65536");
+    assert_eq!(res.violations.len(), 1, "{:#?}", res.violations);
+}
+
+#[test]
+fn env_rule_accepts_matching_defaults() {
+    for size in ["65536", "64 KiB"] {
+        let arch = arch_with_defaults(size);
+        let t = tree(&[("crates/core/src/exec.rs", DEFAULT_READS), ("ARCHITECTURE.md", &arch)]);
+        assert_clean(&check_env_registry(t.path()));
+    }
+}
+
 // ---------------------------------------------------------------------------
 // no-panic hot path
 // ---------------------------------------------------------------------------

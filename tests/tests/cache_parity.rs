@@ -185,7 +185,10 @@ fn exec_options_change_moves_the_key_space() {
     assert_eq!(one_col(&mut conn, sql), ["10", "50"]);
     assert_eq!(one_col(&mut conn, sql), ["10", "50"]);
     assert_eq!(conn.last_exec_counters().unwrap().result_cache_hits, 1);
-    conn.set_exec_options(ExecOptions { vector_size: 1024, ..cached_opts() });
+    // One more than the current vector size, so the options really change
+    // under every MONETLITE_VECTOR_SIZE leg.
+    let vector_size = cached_opts().vector_size + 1;
+    conn.set_exec_options(ExecOptions { vector_size, ..cached_opts() });
     assert_eq!(one_col(&mut conn, sql), ["10", "50"]);
     assert_eq!(
         conn.last_exec_counters().unwrap().result_cache_hits,

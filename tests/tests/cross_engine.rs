@@ -3,7 +3,7 @@
 //! query (Q1–Q22) over identical data — plus a property-based
 //! differential fuzz over random small SELECTs with NULL-bearing tables.
 
-use monetlite::exec::{ExecMode, ExecOptions};
+use monetlite::exec::ExecOptions;
 use monetlite::opt::{OptFlags, StatsMode};
 use monetlite_tpch::{frames, generate, load_monet, load_rowdb, queries};
 use monetlite_types::Value;
@@ -252,8 +252,8 @@ proptest! {
         let inserts = fuzz_inserts(&mut g);
         let sql = g.query();
 
-        // Columnar engine, materialized and streaming (tiny vectors force
-        // chunk boundaries through every operator).
+        // Columnar engine as one whole-table morsel (operator-at-a-time)
+        // and over tiny vectors (chunk boundaries through every operator).
         let db = monetlite::Database::open_in_memory();
         let mut conn = db.connect();
         conn.run_script(FUZZ_DDL).unwrap();
@@ -263,8 +263,8 @@ proptest! {
         let mut engines: Vec<(&str, Vec<String>)> = Vec::new();
         for (label, opts, stats, flags) in [
             (
-                "materialized",
-                ExecOptions { mode: ExecMode::Materialized, ..Default::default() },
+                "single morsel",
+                ExecOptions { threads: 1, vector_size: usize::MAX, ..Default::default() },
                 StatsMode::Real,
                 OptFlags::default(),
             ),
@@ -272,19 +272,13 @@ proptest! {
                 // `use_dict` forced on so the dict-off legs below stay a
                 // true differential even under the MONETLITE_DICT=0 CI leg.
                 "streaming v3",
-                ExecOptions {
-                    mode: ExecMode::Streaming,
-                    threads: 1,
-                    vector_size: 3,
-                    use_dict: true,
-                    ..Default::default()
-                },
+                ExecOptions { threads: 1, vector_size: 3, use_dict: true, ..Default::default() },
                 StatsMode::Real,
                 OptFlags::default(),
             ),
             (
                 "streaming t2",
-                ExecOptions { mode: ExecMode::Streaming, threads: 2, vector_size: 2, ..Default::default() },
+                ExecOptions { threads: 2, vector_size: 2, ..Default::default() },
                 StatsMode::Real,
                 OptFlags::default(),
             ),
@@ -316,13 +310,7 @@ proptest! {
             // above (which run with the default `use_dict: true`).
             (
                 "dict off v3",
-                ExecOptions {
-                    mode: ExecMode::Streaming,
-                    threads: 1,
-                    vector_size: 3,
-                    use_dict: false,
-                    ..Default::default()
-                },
+                ExecOptions { threads: 1, vector_size: 3, use_dict: false, ..Default::default() },
                 StatsMode::Real,
                 OptFlags::default(),
             ),
@@ -426,11 +414,11 @@ fn keyless_left_join_with_build_only_on_is_not_a_scalar_join() {
     ] {
         let db = monetlite::Database::open_in_memory();
         db.connect().run_script(ddl).unwrap();
-        for mode in [ExecMode::Materialized, ExecMode::Streaming] {
+        for vector_size in [usize::MAX, 1] {
             let mut c = db.connect();
-            c.set_exec_options(ExecOptions { mode, ..Default::default() });
-            let r = c.query(sql).unwrap_or_else(|e| panic!("{mode:?}: {e} for {sql}"));
-            assert_eq!(r.nrows(), want_rows, "{mode:?}: {sql}");
+            c.set_exec_options(ExecOptions { threads: 1, vector_size, ..Default::default() });
+            let r = c.query(sql).unwrap_or_else(|e| panic!("vector {vector_size}: {e} for {sql}"));
+            assert_eq!(r.nrows(), want_rows, "vector {vector_size}: {sql}");
         }
         let rdb = monetlite_rowstore::RowDb::in_memory();
         rdb.run_script(ddl).unwrap();

@@ -5,7 +5,7 @@
 //! dict-only fast paths (zone skipping on codes, dictionary-domain LIKE,
 //! bloom pushdown) actually fire where the plan says they do.
 
-use monetlite::exec::{ExecMode, ExecOptions};
+use monetlite::exec::ExecOptions;
 use monetlite_tests::fmt_golden_rows;
 use monetlite_tpch::{generate, load_monet, queries};
 use monetlite_types::{ColumnBuffer, Value};
@@ -21,7 +21,7 @@ fn golden_path(n: usize) -> PathBuf {
 }
 
 fn streaming(threads: usize, vector_size: usize) -> ExecOptions {
-    ExecOptions { mode: ExecMode::Streaming, threads, vector_size, ..Default::default() }
+    ExecOptions { threads, vector_size, ..Default::default() }
 }
 
 fn dict(mut o: ExecOptions, on: bool) -> ExecOptions {
@@ -120,9 +120,12 @@ fn tpch_queries_agree_dict_off_under_spill_and_candidates_off() {
                 assert_rows_eq(sql, &base, &got, &format!("Q{n} dict t={threads}"));
             }
             // Spilled leg: a 24kB budget forces grace partitioning while
-            // dictionary codes flow through the pipeline.
+            // dictionary codes flow through the pipeline. The result cache
+            // is off so the leg executes even when MONETLITE_MEMORY_BUDGET
+            // gave the plain t=1 leg above the same options.
             let mut tiny = dict(streaming(1, 1024), true);
             tiny.memory_budget = 24 * 1024;
+            tiny.use_result_cache = false;
             let (got, counters) = run_counting(&db, sql, tiny);
             assert_rows_eq(sql, &base, &got, &format!("Q{n} dict spilled"));
             total_spilled.set(total_spilled.get() + counters.spilled_partitions);

@@ -16,7 +16,7 @@
 //! commits *after* a failed append), and exhaustively truncates a WAL at
 //! every byte offset to prove recovery always yields an acked prefix.
 
-use monetlite::exec::{ExecMode, ExecOptions};
+use monetlite::exec::ExecOptions;
 use monetlite::{Connection, Database};
 use monetlite_storage::fault::{self, FaultMode, FaultPolicy};
 use monetlite_types::{ColumnBuffer, MlError, Result, Value};
@@ -189,7 +189,6 @@ const SPILL_ROWS: usize = 6_000;
 
 fn spill_exec_opts() -> ExecOptions {
     ExecOptions {
-        mode: ExecMode::Streaming,
         threads: 1,
         vector_size: 1024,
         memory_budget: 16 * 1024,

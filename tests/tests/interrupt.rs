@@ -9,7 +9,7 @@
 //! mid-morsel checkpoints, and `MONETLITE_SPILL_QUOTA` aborting exactly
 //! the offending query.
 
-use monetlite::exec::{ExecMode, ExecOptions};
+use monetlite::exec::ExecOptions;
 use monetlite::Database;
 use monetlite_types::{ColumnBuffer, MlError, Value};
 use std::time::{Duration, Instant};
@@ -29,13 +29,7 @@ fn heavy_db(rows: usize) -> Database {
 }
 
 fn shaped(threads: usize, memory_budget: usize) -> ExecOptions {
-    ExecOptions {
-        mode: ExecMode::Streaming,
-        threads,
-        vector_size: 4096,
-        memory_budget,
-        ..Default::default()
-    }
+    ExecOptions { threads, vector_size: 4096, memory_budget, ..Default::default() }
 }
 
 /// The satellite matrix: threads {1,4} × {unspilled, spilled}, several
@@ -106,7 +100,6 @@ fn interrupt_cancels_spilled_tpch_query() {
     monetlite_tpch::load_monet(&mut conn, &data).unwrap();
     // A budget small enough that Q18's group-by/join state spills.
     conn.set_exec_options(ExecOptions {
-        mode: ExecMode::Streaming,
         threads: 2,
         vector_size: 1024,
         memory_budget: 32 * 1024,
@@ -163,7 +156,6 @@ fn spill_quota_aborts_only_the_offending_query() {
     let db = heavy_db(20_000);
     let mut c1 = db.connect();
     c1.set_exec_options(ExecOptions {
-        mode: ExecMode::Streaming,
         threads: 1,
         vector_size: 1024,
         memory_budget: 8 * 1024, // force the sort out of core…

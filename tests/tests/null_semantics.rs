@@ -1,7 +1,8 @@
 //! Three-valued-logic regression suite: the classic NULL traps of
 //! `NOT IN`, `NOT EXISTS` and scalar subqueries, each asserted against
-//! the SQL-standard answer — on the materialized engine, the streaming
-//! engine, and the volcano rowstore.
+//! the SQL-standard answer — on the columnar engine as one whole-table
+//! morsel (operator-at-a-time) and over tiny parallel vectors, and on the
+//! volcano rowstore.
 //!
 //! The trap matrix:
 //! * `x NOT IN (empty)` is TRUE for every `x`, including NULL;
@@ -13,7 +14,7 @@
 //!   empty-group answer is 0;
 //! * a scalar subquery yielding more than one row is an error.
 
-use monetlite::exec::{ExecMode, ExecOptions};
+use monetlite::exec::ExecOptions;
 use monetlite_types::Value;
 
 const DDL: &str = "CREATE TABLE probe (x INT); \
@@ -39,16 +40,11 @@ fn run_everywhere(sql: &str) -> Vec<(String, Vec<String>)> {
     let db = monetlite::Database::open_in_memory();
     db.connect().run_script(DDL).unwrap();
     for (label, opts) in [
-        ("materialized", ExecOptions { mode: ExecMode::Materialized, ..Default::default() }),
         (
-            "streaming",
-            ExecOptions {
-                mode: ExecMode::Streaming,
-                threads: 2,
-                vector_size: 2,
-                ..Default::default()
-            },
+            "single morsel",
+            ExecOptions { threads: 1, vector_size: usize::MAX, ..Default::default() },
         ),
+        ("streaming", ExecOptions { threads: 2, vector_size: 2, ..Default::default() }),
     ] {
         let mut c = db.connect();
         c.set_exec_options(opts);
@@ -164,11 +160,11 @@ fn scalar_subquery_with_more_than_one_row_errors() {
     let sql = "SELECT x FROM probe WHERE x = (SELECT y FROM sub_plain)";
     let db = monetlite::Database::open_in_memory();
     db.connect().run_script(DDL).unwrap();
-    for mode in [ExecMode::Materialized, ExecMode::Streaming] {
+    for (threads, vector_size) in [(1, usize::MAX), (2, 2)] {
         let mut c = db.connect();
-        c.set_exec_options(ExecOptions { mode, ..Default::default() });
+        c.set_exec_options(ExecOptions { threads, vector_size, ..Default::default() });
         let e = c.query(sql).expect_err("two-row scalar subquery must error");
-        assert!(e.to_string().contains("scalar subquery"), "{mode:?}: {e}");
+        assert!(e.to_string().contains("scalar subquery"), "t{threads} v{vector_size}: {e}");
     }
     let rdb = monetlite_rowstore::RowDb::in_memory();
     rdb.run_script(DDL).unwrap();

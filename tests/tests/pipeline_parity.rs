@@ -1,13 +1,19 @@
-//! Streaming-vs-materialized engine parity: the chunk-at-a-time pipeline
-//! engine must produce exactly the results of the paper's
-//! operator-at-a-time engine on every workload -- the full TPC-H Q1-Q22
-//! suite under the thread/vector matrix, a 24kB spill budget, and
-//! candidates on/off -- at every thread count, including chunk-boundary
-//! edge cases (empty tables, sub-vector tables, NULL sentinels straddling
-//! vector boundaries, LIMIT early-exit).
+//! Streaming engine parity: every thread count and vector size must give
+//! the same rows on every workload -- the full TPC-H Q1-Q22 suite under
+//! the thread/vector matrix, a 24kB spill budget, and candidates on/off --
+//! including chunk-boundary edge cases (empty tables, sub-vector tables,
+//! NULL sentinels straddling vector boundaries, deletes, LIMIT
+//! early-exit).
+//!
+//! The reference answer comes from the volcano row store, an independent
+//! engine over the same data. A LIMIT without ORDER BY answers in
+//! physical scan order, which the row store does not promise; those
+//! statements are referenced to one whole-table morsel on one thread
+//! (operator-at-a-time execution) instead.
 
-use monetlite::exec::{ExecMode, ExecOptions};
-use monetlite_tpch::{generate, load_monet, queries};
+use monetlite::exec::ExecOptions;
+use monetlite_rowstore::RowDb;
+use monetlite_tpch::{generate, load_monet, load_rowdb, queries};
 use monetlite_types::{ColumnBuffer, Value};
 
 /// Run `sql` under the given options, returning all rows.
@@ -31,32 +37,81 @@ fn run_counting(
     (rows, conn.last_exec_counters().expect("counters after query"))
 }
 
-/// Run per-query DDL (Q15's CREATE VIEW) around `f`. Views are
+/// Run per-query DDL (Q15's CREATE VIEW) around `f`, on the columnar
+/// database and, when given, the row-store oracle. Views are
 /// database-level, so one setup covers every engine-option variant run
 /// inside `f`.
-fn with_query_setup(db: &monetlite::Database, n: usize, f: impl FnOnce()) {
+fn with_query_setup(db: &monetlite::Database, rdb: Option<&RowDb>, n: usize, f: impl FnOnce()) {
     if let Some(ddl) = queries::setup_sql(n) {
         db.connect().execute(ddl).unwrap_or_else(|e| panic!("Q{n} setup: {e}"));
+        if let Some(rdb) = rdb {
+            rdb.execute(ddl).unwrap_or_else(|e| panic!("rowstore Q{n} setup: {e}"));
+        }
     }
     f();
     if let Some(ddl) = queries::teardown_sql(n) {
         db.connect().execute(ddl).unwrap_or_else(|e| panic!("Q{n} teardown: {e}"));
+        if let Some(rdb) = rdb {
+            rdb.execute(ddl).unwrap_or_else(|e| panic!("rowstore Q{n} teardown: {e}"));
+        }
     }
 }
 
-fn materialized() -> ExecOptions {
-    ExecOptions { mode: ExecMode::Materialized, ..Default::default() }
-}
-
 fn streaming(threads: usize, vector_size: usize) -> ExecOptions {
-    ExecOptions { mode: ExecMode::Streaming, threads, vector_size, ..Default::default() }
+    ExecOptions { threads, vector_size, ..Default::default() }
 }
 
-/// Compare row-for-row (both engines must agree on order too: all the
-/// compared queries either ORDER BY or aggregate to one row).
+/// One whole-table morsel on one thread: operator-at-a-time execution.
+fn single_morsel() -> ExecOptions {
+    streaming(1, usize::MAX)
+}
+
+/// The row store's answer to `sql`.
+fn oracle(rdb: &RowDb, sql: &str) -> Vec<Vec<Value>> {
+    rdb.query(sql).unwrap_or_else(|e| panic!("rowstore: {e} for {sql}")).rows
+}
+
+/// The same tables in the columnar engine and the row-store oracle.
+struct Both {
+    db: monetlite::Database,
+    rdb: RowDb,
+}
+
+impl Both {
+    fn new() -> Both {
+        Both { db: monetlite::Database::open_in_memory(), rdb: RowDb::in_memory() }
+    }
+
+    fn execute(&self, sql: &str) {
+        self.db.connect().execute(sql).unwrap_or_else(|e| panic!("{e} for {sql}"));
+        self.rdb.execute(sql).unwrap_or_else(|e| panic!("rowstore: {e} for {sql}"));
+    }
+
+    fn append(&self, table: &str, cols: Vec<ColumnBuffer>) {
+        let rows = cols.first().map_or(0, |c| c.len());
+        let tuples = (0..rows).map(|r| cols.iter().map(|c| c.get(r)).collect()).collect();
+        self.rdb.insert_rows(table, tuples).unwrap();
+        self.db.connect().append(table, cols).unwrap();
+    }
+
+    /// The reference rows for `sql`: the row store, except for a LIMIT
+    /// without ORDER BY, whose answer is the physical scan order.
+    fn reference(&self, sql: &str) -> Vec<Vec<Value>> {
+        if sql.contains(" LIMIT ") && !sql.contains("ORDER BY") {
+            run(&self.db, sql, single_morsel())
+        } else {
+            oracle(&self.rdb, sql)
+        }
+    }
+}
+
+/// Compare row-for-row (the compared queries either ORDER BY, aggregate
+/// to at most one row, return no rows, or are referenced to the
+/// one-morsel run, so order is defined).
 fn assert_rows_eq(sql: &str, a: &[Vec<Value>], b: &[Vec<Value>], label: &str) {
     assert_eq!(a.len(), b.len(), "row count for {sql} ({label})");
     for (i, (x, y)) in a.iter().zip(b).enumerate() {
+        assert_eq!(x.len(), y.len(), "{sql} ({label}) row {i} arity");
         for (u, v) in x.iter().zip(y) {
             let ok = match (u, v) {
                 (Value::Double(p), Value::Double(q)) => {
@@ -76,12 +131,15 @@ fn tpch_queries_agree_across_engines_and_threads() {
     let mut conn = db.connect();
     load_monet(&mut conn, &data).unwrap();
     drop(conn);
+    let rdb = RowDb::in_memory();
+    load_rowdb(&rdb, &data).unwrap();
     for (n, sql) in queries::all() {
-        with_query_setup(&db, n, || {
-            let base = run(&db, sql, materialized());
-            // Single-thread streaming must match row-for-row; tiny vectors
-            // force many chunk boundaries.
-            for (threads, vs) in [(1, 64 * 1024), (1, 1000), (4, 1000), (8, 512)] {
+        with_query_setup(&db, Some(&rdb), n, || {
+            let base = oracle(&rdb, sql);
+            // Every shape must match the row store row-for-row: one
+            // whole-table morsel, and tiny vectors that force many chunk
+            // boundaries.
+            for (threads, vs) in [(1, usize::MAX), (1, 64 * 1024), (1, 1000), (4, 1000), (8, 512)] {
                 let got = run(&db, sql, streaming(threads, vs));
                 assert_rows_eq(sql, &base, &got, &format!("Q{n} t={threads} v={vs}"));
             }
@@ -102,7 +160,7 @@ fn tpch_queries_agree_spilled_vs_unspilled() {
     drop(conn);
     let total_spilled = std::cell::Cell::new(0u64);
     for (n, sql) in queries::all() {
-        with_query_setup(&db, n, || {
+        with_query_setup(&db, None, n, || {
             let base = run(&db, sql, streaming(1, 1024));
             for threads in [1, 4] {
                 let mut tiny = streaming(threads, 1024);
@@ -144,7 +202,7 @@ fn tpch_queries_agree_with_candidates_on_and_off() {
     load_monet(&mut conn, &data).unwrap();
     drop(conn);
     for (n, sql) in queries::all() {
-        with_query_setup(&db, n, || {
+        with_query_setup(&db, None, n, || {
             let base = run(&db, sql, candidates_off(streaming(1, 1024)));
             for (threads, vs) in [(1, 1024), (1, 333), (4, 1024)] {
                 let got = run(&db, sql, candidates_on(streaming(threads, vs)));
@@ -316,9 +374,8 @@ fn external_sort_spills_and_matches_unbounded_order() {
 #[test]
 fn acs_style_wide_aggregation_agrees() {
     // Grouped aggregation over a wider table with NULLs mixed in.
-    let db = monetlite::Database::open_in_memory();
-    let mut conn = db.connect();
-    conn.execute("CREATE TABLE p (st INT, age INT, wt DOUBLE, inc DOUBLE)").unwrap();
+    let both = Both::new();
+    both.execute("CREATE TABLE p (st INT, age INT, wt DOUBLE, inc DOUBLE)");
     let n = 10_000;
     let st: Vec<i32> = (0..n).map(|i| i % 7).collect();
     let age: Vec<Option<i32>> =
@@ -328,41 +385,35 @@ fn acs_style_wide_aggregation_agrees() {
     let age_buf = ColumnBuffer::Int(
         age.iter().map(|v| v.unwrap_or(monetlite_types::nulls::NULL_I32)).collect(),
     );
-    conn.append(
+    both.append(
         "p",
         vec![ColumnBuffer::Int(st), age_buf, ColumnBuffer::Double(wt), ColumnBuffer::Double(inc)],
-    )
-    .unwrap();
-    drop(conn);
+    );
     let sql = "SELECT st, count(*), count(age), sum(inc), avg(wt), min(age), max(inc), \
                median(inc) FROM p GROUP BY st ORDER BY st";
-    let base = run(&db, sql, materialized());
+    let base = both.reference(sql);
     for (threads, vs) in [(1, 512), (4, 512), (4, 333)] {
-        let got = run(&db, sql, streaming(threads, vs));
+        let got = run(&both.db, sql, streaming(threads, vs));
         assert_rows_eq(sql, &base, &got, &format!("t={threads} v={vs}"));
     }
 }
 
 #[test]
 fn distinct_count_agrees_in_parallel() {
-    // COUNT(DISTINCT) is mergeable in the streaming engine (sets union),
-    // unlike mitosis which skips it.
-    let db = monetlite::Database::open_in_memory();
-    let mut conn = db.connect();
-    conn.execute("CREATE TABLE t (g INT, x INT)").unwrap();
+    // COUNT(DISTINCT) is mergeable across morsels (sets union).
+    let both = Both::new();
+    both.execute("CREATE TABLE t (g INT, x INT)");
     let n = 5_000;
-    conn.append(
+    both.append(
         "t",
         vec![
             ColumnBuffer::Int((0..n).map(|i| i % 3).collect()),
             ColumnBuffer::Int((0..n).map(|i| i % 41).collect()),
         ],
-    )
-    .unwrap();
-    drop(conn);
+    );
     let sql = "SELECT g, count(DISTINCT x) FROM t GROUP BY g ORDER BY g";
-    let base = run(&db, sql, materialized());
-    let got = run(&db, sql, streaming(4, 256));
+    let base = both.reference(sql);
+    let got = run(&both.db, sql, streaming(4, 256));
     assert_rows_eq(sql, &base, &got, "count distinct");
 }
 
@@ -370,15 +421,14 @@ fn distinct_count_agrees_in_parallel() {
 // Chunk-boundary edge cases
 // ---------------------------------------------------------------------------
 
-fn edge_db() -> monetlite::Database {
-    let db = monetlite::Database::open_in_memory();
-    let mut conn = db.connect();
-    conn.execute("CREATE TABLE empty_t (a INT, b VARCHAR(8))").unwrap();
-    conn.execute("CREATE TABLE tiny (a INT, b VARCHAR(8))").unwrap();
-    conn.execute("INSERT INTO tiny VALUES (1, 'x'), (2, NULL), (3, 'z')").unwrap();
+fn edge_db() -> Both {
+    let both = Both::new();
+    both.execute("CREATE TABLE empty_t (a INT, b VARCHAR(8))");
+    both.execute("CREATE TABLE tiny (a INT, b VARCHAR(8))");
+    both.execute("INSERT INTO tiny VALUES (1, 'x'), (2, NULL), (3, 'z')");
     // A table whose NULL sentinels land exactly at vector boundaries when
     // vector_size divides the positions.
-    conn.execute("CREATE TABLE edge (a INT, d DOUBLE)").unwrap();
+    both.execute("CREATE TABLE edge (a INT, d DOUBLE)");
     let n = 4_096;
     let a: Vec<i32> = (0..n)
         .map(|i| {
@@ -392,13 +442,13 @@ fn edge_db() -> monetlite::Database {
         })
         .collect();
     let d: Vec<f64> = (0..n).map(|i| if i % 512 == 1 { f64::NAN } else { i as f64 }).collect();
-    conn.append("edge", vec![ColumnBuffer::Int(a), ColumnBuffer::Double(d)]).unwrap();
-    db
+    both.append("edge", vec![ColumnBuffer::Int(a), ColumnBuffer::Double(d)]);
+    both
 }
 
 #[test]
 fn empty_and_subvector_tables_agree() {
-    let db = edge_db();
+    let both = edge_db();
     for sql in [
         "SELECT * FROM empty_t",
         "SELECT a FROM empty_t WHERE a > 0",
@@ -410,9 +460,9 @@ fn empty_and_subvector_tables_agree() {
         "SELECT * FROM tiny ORDER BY a",
         "SELECT count(*) FROM tiny WHERE b IS NULL",
     ] {
-        let base = run(&db, sql, materialized());
+        let base = both.reference(sql);
         for (threads, vs) in [(1, 2), (4, 2), (4, 64 * 1024)] {
-            let got = run(&db, sql, streaming(threads, vs));
+            let got = run(&both.db, sql, streaming(threads, vs));
             assert_rows_eq(sql, &base, &got, &format!("t={threads} v={vs}"));
         }
     }
@@ -420,7 +470,7 @@ fn empty_and_subvector_tables_agree() {
 
 #[test]
 fn null_sentinels_straddling_vector_boundaries_agree() {
-    let db = edge_db();
+    let both = edge_db();
     for sql in [
         "SELECT count(*), count(a), sum(a) FROM edge",
         "SELECT count(*) FROM edge WHERE a IS NULL",
@@ -428,12 +478,12 @@ fn null_sentinels_straddling_vector_boundaries_agree() {
         "SELECT a, count(*) FROM edge GROUP BY a ORDER BY a",
         "SELECT sum(d) FROM edge WHERE d > 100.0",
     ] {
-        let base = run(&db, sql, materialized());
+        let base = both.reference(sql);
         // vector=512 puts every sentinel at a chunk edge; 511/513 shift
         // them off-by-one in both directions.
         for vs in [512, 511, 513] {
             for threads in [1, 4] {
-                let got = run(&db, sql, streaming(threads, vs));
+                let got = run(&both.db, sql, streaming(threads, vs));
                 assert_rows_eq(sql, &base, &got, &format!("t={threads} v={vs}"));
             }
         }
@@ -447,31 +497,29 @@ fn null_sentinels_straddling_vector_boundaries_agree() {
 // boundaries, fully-deleted morsels, and deletes + LIMIT early-exit.
 // ---------------------------------------------------------------------------
 
-fn deletion_db() -> monetlite::Database {
-    let db = monetlite::Database::open_in_memory();
-    let mut conn = db.connect();
-    conn.execute("CREATE TABLE del_t (a INT, g INT, s VARCHAR(8))").unwrap();
+fn deletion_db() -> Both {
+    let both = Both::new();
+    both.execute("CREATE TABLE del_t (a INT, g INT, s VARCHAR(8))");
     let n = 4_096;
-    conn.append(
+    both.append(
         "del_t",
         vec![
             ColumnBuffer::Int((0..n).collect()),
             ColumnBuffer::Int((0..n).map(|i| i % 7).collect()),
             ColumnBuffer::Varchar((0..n).map(|i| Some(format!("s{}", i % 13))).collect()),
         ],
-    )
-    .unwrap();
+    );
     // Masks straddling every 512-row vector boundary (first/last row of
     // each vector) ...
-    conn.execute("DELETE FROM del_t WHERE a % 512 = 0 OR a % 512 = 511").unwrap();
+    both.execute("DELETE FROM del_t WHERE a % 512 = 0 OR a % 512 = 511");
     // ... plus one entire morsel deleted (rows 1024..1536 at vector=512).
-    conn.execute("DELETE FROM del_t WHERE a >= 1024 AND a < 1536").unwrap();
-    db
+    both.execute("DELETE FROM del_t WHERE a >= 1024 AND a < 1536");
+    both
 }
 
 #[test]
 fn deletion_masks_crossing_vector_boundaries_agree() {
-    let db = deletion_db();
+    let both = deletion_db();
     for sql in [
         "SELECT count(*) FROM del_t",
         "SELECT count(*), sum(a), min(a), max(a) FROM del_t",
@@ -484,13 +532,13 @@ fn deletion_masks_crossing_vector_boundaries_agree() {
         "SELECT a FROM del_t ORDER BY a DESC LIMIT 9",
         "SELECT x.a, y.g FROM del_t x, del_t y WHERE x.a = y.a AND x.a < 700 ORDER BY 1",
     ] {
-        let base = run(&db, sql, materialized());
+        let base = both.reference(sql);
         // vector=512 aligns morsels with the deletion pattern; 511/513
         // shift the mask off-by-one in both directions; 2 makes nearly
         // every morsel boundary interact with the mask.
         for vs in [512, 511, 513, 2, 64 * 1024] {
             for threads in [1, 4] {
-                let got = run(&db, sql, streaming(threads, vs));
+                let got = run(&both.db, sql, streaming(threads, vs));
                 assert_rows_eq(sql, &base, &got, &format!("deletes t={threads} v={vs}"));
             }
         }
@@ -499,21 +547,19 @@ fn deletion_masks_crossing_vector_boundaries_agree() {
 
 #[test]
 fn fully_deleted_table_and_morsel_agree() {
-    let db = deletion_db();
-    let mut conn = db.connect();
-    conn.execute("CREATE TABLE gone (a INT)").unwrap();
-    conn.append("gone", vec![ColumnBuffer::Int((0..2_000).collect())]).unwrap();
-    conn.execute("DELETE FROM gone").unwrap();
-    drop(conn);
+    let both = deletion_db();
+    both.execute("CREATE TABLE gone (a INT)");
+    both.append("gone", vec![ColumnBuffer::Int((0..2_000).collect())]);
+    both.execute("DELETE FROM gone");
     for sql in [
         "SELECT * FROM gone",
         "SELECT count(*), sum(a) FROM gone",
         "SELECT a, count(*) FROM gone GROUP BY a",
         "SELECT * FROM gone ORDER BY a LIMIT 3",
     ] {
-        let base = run(&db, sql, materialized());
+        let base = both.reference(sql);
         for (threads, vs) in [(1, 512), (4, 512), (4, 64 * 1024)] {
-            let got = run(&db, sql, streaming(threads, vs));
+            let got = run(&both.db, sql, streaming(threads, vs));
             assert_rows_eq(sql, &base, &got, &format!("all-deleted t={threads} v={vs}"));
         }
     }
@@ -521,38 +567,35 @@ fn fully_deleted_table_and_morsel_agree() {
 
 #[test]
 fn deletes_with_limit_early_exit_agree() {
-    let db = monetlite::Database::open_in_memory();
-    let mut conn = db.connect();
-    conn.execute("CREATE TABLE big_del (a INT, b INT)").unwrap();
+    let both = Both::new();
+    both.execute("CREATE TABLE big_del (a INT, b INT)");
     let n = 100_000;
-    conn.append(
+    both.append(
         "big_del",
         vec![
             ColumnBuffer::Int((0..n).collect()),
             ColumnBuffer::Int((0..n).map(|i| i % 17).collect()),
         ],
-    )
-    .unwrap();
+    );
     // The first ~5 morsels (vector=1024) become fully deleted, so the
     // early-exit prefix logic must walk across empty morsels; a later
     // stripe is deleted mid-table.
-    conn.execute("DELETE FROM big_del WHERE a < 5000").unwrap();
-    conn.execute("DELETE FROM big_del WHERE a >= 50000 AND a < 51000").unwrap();
-    drop(conn);
+    both.execute("DELETE FROM big_del WHERE a < 5000");
+    both.execute("DELETE FROM big_del WHERE a >= 50000 AND a < 51000");
     for sql in [
         "SELECT a FROM big_del LIMIT 5",
         "SELECT a, b FROM big_del WHERE b = 3 LIMIT 7",
         "SELECT a FROM big_del ORDER BY a LIMIT 4",
         "SELECT a FROM big_del LIMIT 0",
     ] {
-        let base = run(&db, sql, materialized());
+        let base = both.reference(sql);
         for (threads, vs) in [(1, 1024), (4, 1024), (1, 333)] {
-            let got = run(&db, sql, streaming(threads, vs));
+            let got = run(&both.db, sql, streaming(threads, vs));
             assert_rows_eq(sql, &base, &got, &format!("del+limit t={threads} v={vs}"));
         }
     }
     // Early exit still happens despite the deleted prefix.
-    let mut conn = db.connect();
+    let mut conn = both.db.connect();
     conn.set_exec_options(streaming(1, 1024));
     let r = conn.query("SELECT a FROM big_del LIMIT 5").unwrap();
     assert_eq!(r.nrows(), 5);
@@ -568,19 +611,16 @@ fn deletes_with_limit_early_exit_agree() {
 
 #[test]
 fn limit_and_topn_agree_and_exit_early() {
-    let db = monetlite::Database::open_in_memory();
-    let mut conn = db.connect();
-    conn.execute("CREATE TABLE big (a INT, b INT)").unwrap();
+    let both = Both::new();
+    both.execute("CREATE TABLE big (a INT, b INT)");
     let n = 100_000;
-    conn.append(
+    both.append(
         "big",
         vec![
             ColumnBuffer::Int((0..n).collect()),
             ColumnBuffer::Int((0..n).map(|i| i % 17).collect()),
         ],
-    )
-    .unwrap();
-    drop(conn);
+    );
     for sql in [
         "SELECT a FROM big LIMIT 5",
         "SELECT a, b FROM big WHERE b = 3 LIMIT 7",
@@ -588,14 +628,14 @@ fn limit_and_topn_agree_and_exit_early() {
         "SELECT a FROM big ORDER BY a DESC LIMIT 3",
         "SELECT a FROM big LIMIT 0",
     ] {
-        let base = run(&db, sql, materialized());
+        let base = both.reference(sql);
         for (threads, vs) in [(1, 1024), (4, 1024)] {
-            let got = run(&db, sql, streaming(threads, vs));
+            let got = run(&both.db, sql, streaming(threads, vs));
             assert_rows_eq(sql, &base, &got, &format!("t={threads} v={vs}"));
         }
     }
     // Early exit: LIMIT 5 over ~98 morsels must stop after a handful.
-    let mut conn = db.connect();
+    let mut conn = both.db.connect();
     conn.set_exec_options(streaming(1, 1024));
     let r = conn.query("SELECT a FROM big LIMIT 5").unwrap();
     assert_eq!(r.nrows(), 5);

@@ -16,7 +16,7 @@
 //! `Default::default()`) so the CI env matrix (threads / vector size /
 //! candidates / join-order ablations) cannot change the rendered plans.
 
-use monetlite::exec::{ExecMode, ExecOptions};
+use monetlite::exec::ExecOptions;
 use monetlite::opt::OptFlags;
 use monetlite_tpch::{generate, load_monet, queries};
 use std::path::PathBuf;
@@ -35,10 +35,8 @@ fn golden_path(n: usize) -> PathBuf {
 /// annotations depend on these, so they must not follow the environment.
 fn pinned_exec() -> ExecOptions {
     ExecOptions {
-        mode: ExecMode::Streaming,
         threads: 1,
         vector_size: 64 * 1024,
-        mitosis_min_rows: 64 * 1024,
         use_imprints: true,
         use_hash_index: true,
         use_order_index: true,

@@ -5,11 +5,11 @@
 //! next query (paper §3.4: corrupt or failing state produces "a simple
 //! error being thrown").
 
-use monetlite::exec::{ExecMode, ExecOptions};
+use monetlite::exec::ExecOptions;
 use monetlite_types::{MlError, Value};
 
 fn streaming(threads: usize, vector_size: usize) -> ExecOptions {
-    ExecOptions { mode: ExecMode::Streaming, threads, vector_size, ..Default::default() }
+    ExecOptions { threads, vector_size, ..Default::default() }
 }
 
 /// A table whose `b` column is non-zero everywhere except deep inside a
@@ -55,19 +55,14 @@ fn worker_error_mid_pipeline_keeps_connection_usable() {
     );
 }
 
-/// Same failure under every engine shape: single-threaded streaming,
-/// parallel streaming, and the materialized engine all degrade to the
-/// same error and stay usable.
+/// Same failure under every engine shape: single-threaded, parallel, and
+/// one whole-table morsel (operator-at-a-time) all degrade to the same
+/// error and stay usable.
 #[test]
 fn worker_error_consistent_across_engine_shapes() {
     let rows = 2048;
     let db = poisoned_db(rows, rows / 2);
-    let shapes = [
-        streaming(1, 256),
-        streaming(4, 256),
-        streaming(8, 64),
-        ExecOptions { mode: ExecMode::Materialized, ..Default::default() },
-    ];
+    let shapes = [streaming(1, 256), streaming(4, 256), streaming(8, 64), streaming(1, usize::MAX)];
     for opts in shapes {
         let mut conn = db.connect();
         conn.set_exec_options(opts);
