@@ -1,14 +1,14 @@
 //! Plan/result cache hot-loop benchmarks: the query-as-a-service
-//! pattern the caching tier targets — the same parameterized TPC-H
-//! shapes issued over and over.
+//! pattern the caching tier targets — the same TPC-H statements issued
+//! over and over.
 //!
 //! Legs per shape:
 //! * `cold` — both caches off: every iteration pays parse + bind +
 //!   optimize + execute (the pre-cache behaviour).
-//! * `plan_hit` — plan cache on, result cache off, a fresh date literal
-//!   every iteration: the normalized template is replayed with new
-//!   bindings, so only parse/bind/optimize are skipped and execution
-//!   still runs.
+//! * `plan_hit` — plan cache on, result cache off, the exact same
+//!   statement every iteration: the cached optimized plan is replayed,
+//!   so parse/bind/optimize are skipped and execution still runs. Keys
+//!   carry their literals, so only exact repeats hit.
 //! * `hot` — both caches on, cycling a small set of parameter variants
 //!   (Q5's region): steady state serves Arc-shared results without
 //!   re-execution.
@@ -44,8 +44,7 @@ fn q5_region(region: &str) -> String {
 }
 
 fn q5_date(i: usize) -> String {
-    // 72 distinct dates: every iteration binds a literal the caches have
-    // not seen, so the plan cache hits but the result cache cannot.
+    // 72 distinct dates: the tiny cold leg cycles literals.
     let (y, m) = (1992 + i % 6, 1 + (i / 6) % 12);
     queries::sql(5).replace("1994-01-01", &format!("{y}-{m:02}-01"))
 }
@@ -71,21 +70,16 @@ fn bench_cache(c: &mut Criterion) {
         })
     });
 
-    // Plan-cache-only: fresh literals every iteration, execution runs.
+    // Plan-cache-only: an exact repeat with the result cache off, so
+    // execution runs while bind + optimize are skipped.
     let mut plan_only = connect(&db, true, false);
-    plan_only.query(&q5_date(0)).unwrap(); // prime the template
-    plan_only.query(&q5_date(1)).unwrap();
+    let q5 = q5_date(0);
+    plan_only.query(&q5).unwrap(); // prime the plan
+    plan_only.query(&q5).unwrap();
     let counters = plan_only.last_exec_counters().unwrap();
     assert_eq!(counters.plan_cache_hits, 1, "leg must measure plan-cache hits");
-    assert_eq!(counters.result_cache_hits, 0, "fresh literals must not hit the result cache");
-    let mut i = 2usize;
-    g.bench_function("q5_fresh_params_plan_hit", |b| {
-        b.iter(|| {
-            let sql = q5_date(i);
-            i += 1;
-            plan_only.query(&sql).unwrap()
-        })
-    });
+    assert_eq!(counters.result_cache_hits, 0, "result cache is off");
+    g.bench_function("q5_repeat_plan_hit", |b| b.iter(|| plan_only.query(&q5).unwrap()));
 
     // Hot loop: both caches on, cycling the five region variants. After
     // one warm pass every iteration is a result hit.
@@ -126,15 +120,8 @@ fn bench_cache(c: &mut Criterion) {
         })
     });
     let mut tiny_plan = connect(&tiny_db, true, false);
-    tiny_plan.query(&q5_date(0)).unwrap();
-    let mut i = 1usize;
-    g.bench_function("q5_tiny_plan_hit", |b| {
-        b.iter(|| {
-            let sql = q5_date(i);
-            i += 1;
-            tiny_plan.query(&sql).unwrap()
-        })
-    });
+    tiny_plan.query(&q5).unwrap();
+    g.bench_function("q5_tiny_plan_hit", |b| b.iter(|| tiny_plan.query(&q5).unwrap()));
     g.finish();
 }
 

@@ -107,9 +107,6 @@ pub struct Binder<'a> {
     ctes: RefCell<Vec<ast::Cte>>,
     /// View-expansion depth guard (recursive views are rejected).
     view_depth: Cell<usize>,
-    /// Representative values for `ast::Expr::Param` slots when binding a
-    /// plan-cache template (empty otherwise — a bare Param is an error).
-    params: Vec<Value>,
 }
 
 /// Maximum view-in-view expansion depth before the binder assumes a
@@ -119,19 +116,7 @@ const MAX_VIEW_DEPTH: usize = 16;
 impl<'a> Binder<'a> {
     /// New binder over a catalog view.
     pub fn new(catalog: &'a dyn CatalogAccess) -> Binder<'a> {
-        Binder {
-            catalog,
-            ctes: RefCell::new(Vec::new()),
-            view_depth: Cell::new(0),
-            params: Vec::new(),
-        }
-    }
-
-    /// New binder for a plan-cache template: `ast::Expr::Param { index }`
-    /// binds to `BExpr::Param` carrying `params[index]` as its
-    /// representative value.
-    pub fn with_params(catalog: &'a dyn CatalogAccess, params: Vec<Value>) -> Binder<'a> {
-        Binder { catalog, ctes: RefCell::new(Vec::new()), view_depth: Cell::new(0), params }
+        Binder { catalog, ctes: RefCell::new(Vec::new()), view_depth: Cell::new(0) }
     }
 
     /// Run `f` with `ctes` pushed onto the in-scope stack.
@@ -1126,12 +1111,6 @@ impl<'a> Binder<'a> {
                 Ok(BExpr::ColRef { idx, ty })
             }
             ast::Expr::Literal(v) => Ok(BExpr::Lit(v.clone())),
-            ast::Expr::Param { index } => match self.params.get(*index) {
-                Some(v) => Ok(BExpr::Param { idx: *index, value: v.clone() }),
-                None => Err(MlError::Bind(
-                    "bind parameters are only valid through the plan cache".into(),
-                )),
-            },
             ast::Expr::Interval { .. } => {
                 Err(MlError::Bind("INTERVAL is only valid in date arithmetic".into()))
             }
@@ -1909,29 +1888,7 @@ pub fn cast_to(e: BExpr, ty: LogicalType) -> Result<BExpr> {
             return Ok(BExpr::Lit(folded));
         }
     }
-    // A plan-cache parameter folds like a literal, but in place: the
-    // representative value is cast and the slot kept, so substitution
-    // later applies the same cast to each fresh value.
-    if let BExpr::Param { idx, value } = &e {
-        if let Some(folded) = fold_literal_cast(value, ty)? {
-            return Ok(BExpr::Param { idx: *idx, value: folded });
-        }
-    }
     Ok(BExpr::Cast { input: Box::new(e), ty })
-}
-
-/// Re-apply the cast folding a template's representative went through to
-/// a fresh parameter value: coerce `fresh` to `target`'s logical type.
-/// Returns `None` when the fresh value cannot take the representative's
-/// type (the caller falls back to a full replan).
-pub fn coerce_param_value(fresh: &Value, target: &Value) -> Option<Value> {
-    let Some(ty) = target.logical_type() else {
-        return matches!(fresh, Value::Null).then_some(Value::Null);
-    };
-    if fresh.logical_type() == Some(ty) {
-        return Some(fresh.clone());
-    }
-    fold_literal_cast(fresh, ty).ok().flatten()
 }
 
 fn fold_literal_cast(v: &Value, ty: LogicalType) -> Result<Option<Value>> {

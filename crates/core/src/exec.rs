@@ -81,11 +81,12 @@ pub struct ExecOptions {
     /// probe-side scans. `false` restores per-row string execution (the
     /// ablation baseline); results are identical either way.
     pub use_dict: bool,
-    /// Plan cache (`MONETLITE_PLAN_CACHE`): repeated statements that
-    /// differ only in WHERE-clause literals reuse one optimized plan
-    /// template (skipping parse/bind/optimize), with fresh literals
-    /// substituted per execution. `false` replans every statement (the
-    /// ablation baseline); results are identical either way.
+    /// Plan cache (`MONETLITE_PLAN_CACHE`): an exact repeat of a
+    /// statement — same canonical text, same literals, same options —
+    /// reuses its optimized plan, skipping parse/bind/optimize. A plan
+    /// is stored only when the result cache did not keep the statement's
+    /// result (it is off, or the result is over its budget). `false`
+    /// replans every statement; results are identical either way.
     pub use_plan_cache: bool,
     /// Result cache (`MONETLITE_RESULT_CACHE`): a read statement
     /// identical to a previous one — same text, same literals, same
@@ -94,7 +95,7 @@ pub struct ExecOptions {
     /// epoch) is unchanged. `false` executes every statement.
     pub use_result_cache: bool,
     /// Byte budget for the shared plan cache
-    /// (`MONETLITE_PLAN_CACHE_BYTES`); least-recently-used templates are
+    /// (`MONETLITE_PLAN_CACHE_BYTES`); least-recently-used plans are
     /// evicted past it.
     pub plan_cache_bytes: usize,
     /// Byte budget for the shared result cache
@@ -224,7 +225,7 @@ pub struct CountersSnapshot {
     pub dict_hits: u64,
     /// Probe-side scan rows dropped by pushed-down join bloom filters.
     pub bloom_pruned: u64,
-    /// Statements served from a cached plan template (parse/bind/optimize
+    /// Statements served from a cached optimized plan (parse/bind/optimize
     /// skipped; filled by the connection, never by the executor).
     pub plan_cache_hits: u64,
     /// Statements served from the result cache (execution skipped

@@ -152,20 +152,6 @@ pub enum BExpr {
     },
     /// Constant.
     Lit(Value),
-    /// Plan-cache bind parameter: a literal slot whose *value* varies
-    /// between executions of the same cached template. `value` holds the
-    /// representative literal the template was first bound with (after
-    /// any cast folding), so type derivation and selectivity estimation
-    /// see a concrete value — but `is_const()` is false, which blocks
-    /// every plan-time fold that would bake the representative into the
-    /// plan. The executor never sees `Param`: the cache substitutes
-    /// fresh literals (and re-folds) before execution.
-    Param {
-        /// 0-based slot in the template's bind vector.
-        idx: usize,
-        /// Representative literal (current type carrier).
-        value: Value,
-    },
     /// Cast to a target type.
     Cast {
         /// Operand.
@@ -248,7 +234,6 @@ impl BExpr {
         match self {
             BExpr::ColRef { ty, .. } => *ty,
             BExpr::Lit(v) => v.logical_type().unwrap_or(LogicalType::Int),
-            BExpr::Param { value, .. } => value.logical_type().unwrap_or(LogicalType::Int),
             BExpr::Cast { ty, .. } => *ty,
             BExpr::Arith { ty, .. } => *ty,
             BExpr::Cmp { .. }
@@ -269,9 +254,6 @@ impl BExpr {
         match self {
             BExpr::ColRef { .. } => false,
             BExpr::Lit(_) => true,
-            // Not const: the value varies per execution, so no plan-time
-            // fold may consume the representative.
-            BExpr::Param { .. } => false,
             BExpr::Cast { input, .. } | BExpr::Not(input) | BExpr::Neg { input, .. } => {
                 input.is_const()
             }
@@ -292,7 +274,7 @@ impl BExpr {
     pub fn collect_cols(&self, out: &mut Vec<usize>) {
         match self {
             BExpr::ColRef { idx, .. } => out.push(*idx),
-            BExpr::Lit(_) | BExpr::Param { .. } => {}
+            BExpr::Lit(_) => {}
             BExpr::Cast { input, .. } | BExpr::Not(input) | BExpr::Neg { input, .. } => {
                 input.collect_cols(out)
             }
@@ -322,93 +304,12 @@ impl BExpr {
         }
     }
 
-    /// True when the expression (recursively) contains a plan-cache
-    /// parameter slot.
-    pub fn has_param(&self) -> bool {
-        match self {
-            BExpr::Param { .. } => true,
-            BExpr::ColRef { .. } | BExpr::Lit(_) => false,
-            BExpr::Cast { input, .. } | BExpr::Not(input) | BExpr::Neg { input, .. } => {
-                input.has_param()
-            }
-            BExpr::IsNull { input, .. } | BExpr::Like { input, .. } => input.has_param(),
-            BExpr::Arith { left, right, .. } | BExpr::Cmp { left, right, .. } => {
-                left.has_param() || right.has_param()
-            }
-            BExpr::And(a, b) | BExpr::Or(a, b) => a.has_param() || b.has_param(),
-            BExpr::Case { branches, else_expr, .. } => {
-                branches.iter().any(|(c, v)| c.has_param() || v.has_param())
-                    || else_expr.as_ref().is_some_and(|e| e.has_param())
-            }
-            BExpr::Func { args, .. } => args.iter().any(|a| a.has_param()),
-        }
-    }
-
-    /// Replace every parameter slot with a literal via `value_of` — with
-    /// the representative value for cost estimation (so a template plan
-    /// gets the same join order as its literal-bound twin), or with the
-    /// fresh bind values when the cache replays a template.
-    pub fn resolve_params(&self, value_of: &dyn Fn(usize, &Value) -> Value) -> BExpr {
-        match self {
-            BExpr::Param { idx, value } => BExpr::Lit(value_of(*idx, value)),
-            BExpr::ColRef { .. } | BExpr::Lit(_) => self.clone(),
-            BExpr::Cast { input, ty } => {
-                BExpr::Cast { input: Box::new(input.resolve_params(value_of)), ty: *ty }
-            }
-            BExpr::Arith { op, left, right, ty } => BExpr::Arith {
-                op: *op,
-                left: Box::new(left.resolve_params(value_of)),
-                right: Box::new(right.resolve_params(value_of)),
-                ty: *ty,
-            },
-            BExpr::Cmp { op, left, right } => BExpr::Cmp {
-                op: *op,
-                left: Box::new(left.resolve_params(value_of)),
-                right: Box::new(right.resolve_params(value_of)),
-            },
-            BExpr::And(a, b) => BExpr::And(
-                Box::new(a.resolve_params(value_of)),
-                Box::new(b.resolve_params(value_of)),
-            ),
-            BExpr::Or(a, b) => BExpr::Or(
-                Box::new(a.resolve_params(value_of)),
-                Box::new(b.resolve_params(value_of)),
-            ),
-            BExpr::Not(a) => BExpr::Not(Box::new(a.resolve_params(value_of))),
-            BExpr::IsNull { input, negated } => {
-                BExpr::IsNull { input: Box::new(input.resolve_params(value_of)), negated: *negated }
-            }
-            BExpr::Like { input, pattern, negated } => BExpr::Like {
-                input: Box::new(input.resolve_params(value_of)),
-                pattern: pattern.clone(),
-                negated: *negated,
-            },
-            BExpr::Case { branches, else_expr, ty } => BExpr::Case {
-                branches: branches
-                    .iter()
-                    .map(|(c, v)| (c.resolve_params(value_of), v.resolve_params(value_of)))
-                    .collect(),
-                else_expr: else_expr.as_ref().map(|e| Box::new(e.resolve_params(value_of))),
-                ty: *ty,
-            },
-            BExpr::Func { func, args, ty } => BExpr::Func {
-                func: *func,
-                args: args.iter().map(|a| a.resolve_params(value_of)).collect(),
-                ty: *ty,
-            },
-            BExpr::Neg { input, ty } => {
-                BExpr::Neg { input: Box::new(input.resolve_params(value_of)), ty: *ty }
-            }
-        }
-    }
-
     /// Rewrite every column reference through `map` (old index → new).
     /// Used by projection pushdown and join-side splitting.
     pub fn remap_cols(&self, map: &dyn Fn(usize) -> usize) -> BExpr {
         match self {
             BExpr::ColRef { idx, ty } => BExpr::ColRef { idx: map(*idx), ty: *ty },
             BExpr::Lit(v) => BExpr::Lit(v.clone()),
-            BExpr::Param { idx, value } => BExpr::Param { idx: *idx, value: value.clone() },
             BExpr::Cast { input, ty } => {
                 BExpr::Cast { input: Box::new(input.remap_cols(map)), ty: *ty }
             }
@@ -464,7 +365,6 @@ impl fmt::Display for BExpr {
                 Value::Str(s) => write!(f, "'{}'", s.replace('\'', "''")),
                 other => write!(f, "{other}"),
             },
-            BExpr::Param { idx, .. } => write!(f, "?{idx}"),
             BExpr::Cast { input, ty } => write!(f, "cast({input} as {ty})"),
             BExpr::Arith { op, left, right, .. } => write!(f, "({left} {op} {right})"),
             BExpr::Cmp { op, left, right } => write!(f, "({left} {op} {right})"),

@@ -30,11 +30,6 @@ pub fn eval(e: &BExpr, cols: &[Arc<Bat>], rows: usize) -> Result<Bat> {
     match e {
         BExpr::ColRef { idx, .. } => Ok((*cols[*idx]).clone()),
         BExpr::Lit(v) => materialize_const(v, e.ty(), rows),
-        // The plan cache substitutes fresh literals before execution; a
-        // Param reaching a kernel is a caching-layer bug, not a query error.
-        BExpr::Param { idx, .. } => {
-            Err(MlError::Execution(format!("unsubstituted plan-cache parameter ?{idx}")))
-        }
         BExpr::Cast { input, ty } => {
             let b = eval(input, cols, rows)?;
             cast(&b, *ty)
@@ -121,9 +116,6 @@ pub fn eval_sel(e: &BExpr, cols: &[Arc<Bat>], sel: &[u32]) -> Result<Bat> {
     match e {
         BExpr::ColRef { idx, .. } => Ok(cols[*idx].take(sel)),
         BExpr::Lit(v) => materialize_const(v, e.ty(), sel.len()),
-        BExpr::Param { idx, .. } => {
-            Err(MlError::Execution(format!("unsubstituted plan-cache parameter ?{idx}")))
-        }
         BExpr::Cast { input, ty } => {
             let b = eval_sel(input, cols, sel)?;
             cast(&b, *ty)

@@ -114,8 +114,8 @@ pub struct Database {
     /// every cache key, so view DDL invalidates by moving the key space
     /// rather than by scanning entries. Bumped under the `views` lock.
     views_epoch: Arc<AtomicU64>,
-    /// Shared optimized-plan templates (`monetdb_query`'s repeated
-    /// parameterized statements skip parse/bind/optimize on a hit).
+    /// Shared optimized plans (a repeated statement whose result is not
+    /// cached skips parse/bind/optimize on a hit).
     plan_cache: Arc<PlanCache>,
     /// Shared result sets for identical read-only statements.
     result_cache: Arc<ResultCache>,
@@ -452,32 +452,24 @@ impl Connection {
         // Each statement starts un-interrupted: an interrupt delivered
         // while the connection was idle must not kill the next query.
         self.interrupt.store(false, std::sync::atomic::Ordering::SeqCst);
+        // Statement-text memo: with a cache on, a repeat of the exact text
+        // skips even the parser (the memo is a pure function of the text,
+        // never stale).
         let caches_on = self.exec_opts.use_plan_cache || self.exec_opts.use_result_cache;
-        // Statement-text memo: a repeat of the exact text skips even the
-        // parser (the memo is a pure function of the text, never stale).
-        if caches_on {
-            if let Some(memo) = self.plan_cache.memo_get(sql) {
-                return self.run_select_memo(&memo);
-            }
-        }
-        let stmt = monetlite_sql::parse_statement(sql)?;
-        if caches_on {
-            if let ast::Statement::Select(sel) = &stmt {
-                let memo = Arc::new(StmtMemo::build(sel));
-                self.plan_cache.memo_put(sql, memo.clone());
-                return self.run_select_memo(&memo);
-            }
-        }
-        self.run_statement(stmt)
-    }
-
-    /// Autocommit wrapper around the cached SELECT path (mirrors
-    /// `run_statement`'s handling of a bare SELECT).
-    fn run_select_memo(&mut self, memo: &StmtMemo) -> Result<QueryResult> {
-        let implicit = self.ensure_txn();
-        let r = self.run_select_cached(memo);
-        self.finish_implicit(implicit, r.is_ok())?;
-        r
+        let memo = match caches_on.then(|| self.plan_cache.memo_get(sql)).flatten() {
+            Some(memo) => memo,
+            None => match monetlite_sql::parse_statement(sql)? {
+                ast::Statement::Select(sel) => {
+                    let memo = Arc::new(StmtMemo::build(*sel));
+                    if caches_on {
+                        self.plan_cache.memo_put(sql, memo.clone());
+                    }
+                    memo
+                }
+                other => return self.run_statement(other),
+            },
+        };
+        self.autocommit(|c| c.run_select(&memo))
     }
 
     /// Execute one statement for its side effect; returns rows affected.
@@ -501,10 +493,7 @@ impl Connection {
     /// pass, no per-row INSERT parsing — "significant overhead involved in
     /// parsing individual INSERT INTO statements".
     pub fn append(&mut self, table: &str, cols: Vec<ColumnBuffer>) -> Result<()> {
-        let implicit = self.ensure_txn();
-        let r = self.append_inner(table, cols);
-        self.finish_implicit(implicit, r.is_ok())?;
-        r
+        self.autocommit(|c| c.append_inner(table, cols))
     }
 
     fn append_inner(&mut self, table: &str, cols: Vec<ColumnBuffer>) -> Result<()> {
@@ -576,27 +565,19 @@ impl Connection {
         });
     }
 
-    /// Ensure a transaction exists; returns true when an implicit one was
-    /// opened (autocommit).
-    fn ensure_txn(&mut self) -> bool {
-        if self.txn.is_none() {
-            self.start_txn(false);
-            true
-        } else {
-            false
+    /// Run `f` inside the open transaction, or inside an implicit one
+    /// that commits when `f` succeeds and is discarded when it fails.
+    fn autocommit<T>(&mut self, f: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
+        if self.txn.is_some() {
+            return f(self);
         }
-    }
-
-    fn finish_implicit(&mut self, implicit: bool, ok: bool) -> Result<()> {
-        if !implicit {
-            return Ok(());
-        }
+        self.start_txn(false);
+        let r = f(self);
         let txn = self.txn.take().expect("implicit txn present");
-        if ok {
-            self.store.commit(txn.writes)
-        } else {
-            Ok(()) // failed statement: discard
+        if r.is_ok() {
+            self.store.commit(txn.writes)?;
         }
+        r
     }
 
     /// Record a write op: apply to the transaction-local view (so later
@@ -635,27 +616,13 @@ impl Connection {
                 self.rollback()?;
                 Ok(QueryResult::empty(0))
             }
-            other => {
-                let implicit = self.ensure_txn();
-                let r = self.run_in_txn(other);
-                self.finish_implicit(implicit, r.is_ok())?;
-                r
-            }
+            other => self.autocommit(|c| c.run_in_txn(other)),
         }
     }
 
     fn run_in_txn(&mut self, stmt: ast::Statement) -> Result<QueryResult> {
         match stmt {
-            ast::Statement::Select(sel) => {
-                if self.exec_opts.use_plan_cache || self.exec_opts.use_result_cache {
-                    // Script / non-memoized entry: normalize here so the
-                    // statement still shares plan and result entries.
-                    let memo = StmtMemo::build(&sel);
-                    self.run_select_cached(&memo)
-                } else {
-                    self.run_select(&sel)
-                }
-            }
+            ast::Statement::Select(sel) => self.run_select(&StmtMemo::build(*sel)),
             ast::Statement::Explain(inner) => self.run_explain(*inner),
             ast::Statement::CreateTable { name, columns } => {
                 let lname = name.to_ascii_lowercase();
@@ -796,19 +763,6 @@ impl Connection {
         }
     }
 
-    fn run_select(&mut self, sel: &ast::SelectStmt) -> Result<QueryResult> {
-        let (result, counters) = {
-            let txn = self.txn.as_ref().expect("txn");
-            let view = TxnView { tables: &txn.tables, views: &txn.views };
-            let stats = opt::ModedStats { inner: &view, mode: self.stats_mode };
-            let plan = Binder::new(&view).bind_select(sel)?;
-            let plan = opt::optimize(plan, self.opt_flags, &stats, &view)?;
-            self.execute_select(&plan, &view)?
-        };
-        self.last_counters = Some(counters);
-        Ok(result)
-    }
-
     /// The tail every SELECT path shares: execute an optimized plan and
     /// assemble its result and counters.
     fn execute_select(
@@ -838,163 +792,140 @@ impl Connection {
         Ok((result, counters))
     }
 
-    /// Cache-key component covering everything besides the statement and
-    /// the data: optimizer flags, statistics mode, execution options and
-    /// the view catalog's epoch. Any change moves the key, so stale
-    /// entries are simply never looked up again (the LRU ages them out).
-    fn cache_fingerprint(&self, views_epoch: u64) -> String {
-        format!("{:?}|{:?}|{:?}|v{views_epoch}", self.opt_flags, self.stats_mode, self.exec_opts)
+    /// The one SELECT driver (paper §1/§4.2: an embedded workload
+    /// re-issues many small, often identical queries, so per-query
+    /// overheads matter). Its stages, each skipped when its flag is off:
+    /// 1. result probe — a hit returns the stored columns, no execution;
+    /// 2. plan probe — a hit skips bind + optimize;
+    /// 3. bind + optimize;
+    /// 4. execute;
+    /// 5. store the result, or else (result cache off, or the result over
+    ///    its budget) the plan.
+    ///
+    /// The caches are consulted and populated only by a transaction with
+    /// no uncommitted writes, and only over committed input tables.
+    fn run_select(&mut self, memo: &StmtMemo) -> Result<QueryResult> {
+        let started = Instant::now();
+        let txn = self.txn.as_ref().expect("txn");
+        let cacheable = txn.writes.is_empty();
+        let use_result = self.exec_opts.use_result_cache && cacheable;
+        let use_plan = self.exec_opts.use_plan_cache && cacheable;
+        // Unused when neither cache is consulted.
+        let key = if use_result || use_plan {
+            self.cache_key(memo, txn.views_epoch)
+        } else {
+            String::new()
+        };
+
+        // 1. A result hit skips execution, but must still behave like a
+        // real statement: honour a pending interrupt and the per-query
+        // timeout, and publish counters.
+        if use_result {
+            if let Some(entry) = self.result_cache.get_valid(&key, &txn.tables) {
+                if self.interrupt.load(Ordering::SeqCst) {
+                    return Err(MlError::Interrupted);
+                }
+                if let Some(limit) = self.exec_opts.timeout {
+                    if started.elapsed() >= limit {
+                        return Err(MlError::Timeout {
+                            elapsed_ms: started.elapsed().as_millis() as u64,
+                            limit_ms: limit.as_millis() as u64,
+                        });
+                    }
+                }
+                self.result_cache.hits.fetch_add(1, Ordering::Relaxed);
+                self.last_counters = Some(exec::CountersSnapshot {
+                    result_cache_hits: 1,
+                    estimated_rows: entry.estimated_rows,
+                    ..Default::default()
+                });
+                return Ok(QueryResult {
+                    names: entry.names.clone(),
+                    types: entry.types.clone(),
+                    cols: entry.cols.clone(),
+                    rows: entry.rows,
+                    rows_affected: 0,
+                });
+            }
+            self.result_cache.misses.fetch_add(1, Ordering::Relaxed);
+        }
+
+        // 2. Plan probe, else 3. bind + optimize.
+        let view = TxnView { tables: &txn.tables, views: &txn.views };
+        let cached = if use_plan { self.plan_cache.get_valid(&key, &txn.tables) } else { None };
+        let mut planned = None;
+        let plan = match &cached {
+            Some(entry) => &entry.plan,
+            None => {
+                if use_plan {
+                    self.plan_cache.misses.fetch_add(1, Ordering::Relaxed);
+                }
+                planned.insert(self.plan_select(&memo.stmt, &view)?)
+            }
+        };
+
+        // 4. Execute.
+        let (result, mut counters) = self.execute_select(plan, &view)?;
+        if cached.is_some() {
+            counters.plan_cache_hits = 1;
+            self.plan_cache.hits.fetch_add(1, Ordering::Relaxed);
+        }
+
+        // 5. Store the result, or else the plan: both depend on the same
+        // table versions, so a plan whose result is cached is never used.
+        let deps =
+            if use_result || use_plan { plan_cache::collect_deps(plan, &txn.tables) } else { None };
+        if let Some(deps) = deps {
+            let kept = use_result
+                && self.result_cache.put(
+                    key.clone(),
+                    ResultEntry {
+                        names: result.names.clone(),
+                        types: result.types.clone(),
+                        cols: result.cols.clone(),
+                        rows: result.rows,
+                        estimated_rows: counters.estimated_rows,
+                        deps: deps.clone(),
+                    },
+                    self.exec_opts.result_cache_bytes,
+                );
+            if let Some(plan) = planned.filter(|_| use_plan && !kept) {
+                self.plan_cache.put(key, PlanEntry { plan, deps }, self.exec_opts.plan_cache_bytes);
+            }
+        }
+        self.last_counters = Some(counters);
+        Ok(result)
     }
 
-    /// SELECT through the caching tier (paper §1/§4.2: an embedded
-    /// workload re-issues many small, often identical or merely
-    /// re-parameterized queries, so per-query overheads dominate):
-    /// 1. result-cache hit → return the stored columns, no execution;
-    /// 2. plan-cache hit → substitute fresh literals into the stored
-    ///    template, skipping bind + optimize;
-    /// 3. miss → bind the parameterized statement, optimize once, store
-    ///    the template, then execute.
-    ///
-    /// Consulting and populating the caches requires a transaction with
-    /// no uncommitted writes and only committed input tables; everything
-    /// else takes the plain `run_select` path.
-    fn run_select_cached(&mut self, memo: &StmtMemo) -> Result<QueryResult> {
-        let started = Instant::now();
-        let use_plan = self.exec_opts.use_plan_cache;
-        let use_result = self.exec_opts.use_result_cache;
-        let (result, counters, store_result) = {
-            let txn = self.txn.as_ref().expect("txn");
-            let cacheable = txn.writes.is_empty();
-            let fp = self.cache_fingerprint(txn.views_epoch);
-            let rkey = format!("{}\u{1}{}", memo.result_key, fp);
+    /// Bind and optimize a SELECT against the transaction's catalog.
+    fn plan_select(&self, sel: &ast::SelectStmt, view: &TxnView) -> Result<plan::Plan> {
+        let stats = opt::ModedStats { inner: view, mode: self.stats_mode };
+        let plan = Binder::new(view).bind_select(sel)?;
+        opt::optimize(plan, self.opt_flags, &stats, view)
+    }
 
-            // 1. Result cache: a hit skips execution entirely, but must
-            // still behave like a real statement — honour a pending
-            // interrupt and the per-query timeout, and publish counters.
-            if use_result && cacheable {
-                if let Some(entry) = self.result_cache.get_valid(&rkey, &txn.tables) {
-                    if self.interrupt.load(std::sync::atomic::Ordering::SeqCst) {
-                        return Err(MlError::Interrupted);
-                    }
-                    if let Some(limit) = self.exec_opts.timeout {
-                        if started.elapsed() >= limit {
-                            return Err(MlError::Timeout {
-                                elapsed_ms: started.elapsed().as_millis() as u64,
-                                limit_ms: limit.as_millis() as u64,
-                            });
-                        }
-                    }
-                    self.result_cache.hits.fetch_add(1, Ordering::Relaxed);
-                    self.last_counters = Some(exec::CountersSnapshot {
-                        result_cache_hits: 1,
-                        estimated_rows: entry.estimated_rows,
-                        ..Default::default()
-                    });
-                    return Ok(QueryResult {
-                        names: entry.names.clone(),
-                        types: entry.types.clone(),
-                        cols: entry.cols.clone(),
-                        rows: entry.rows,
-                        rows_affected: 0,
-                    });
-                }
-                self.result_cache.misses.fetch_add(1, Ordering::Relaxed);
-            }
-
-            let view = TxnView { tables: &txn.tables, views: &txn.views };
-            let stats = opt::ModedStats { inner: &view, mode: self.stats_mode };
-            let pkey = format!("{}\u{1}{}", memo.plan_key, fp);
-
-            // 2. Plan cache: reuse the optimized template, re-binding the
-            // statement's literals into its parameter slots.
-            let mut plan_hit = false;
-            let mut plan: Option<plan::Plan> = None;
-            if use_plan && cacheable {
-                if let Some(entry) = self.plan_cache.get_valid(&pkey, &txn.tables) {
-                    if let Some(p) = plan_cache::substitute_params(&entry.plan, &memo.params) {
-                        plan_hit = true;
-                        plan = Some(p);
-                    }
-                    // A failed coercion (literal cannot take the
-                    // template's type) falls through to a full replan.
-                }
-            }
-            let plan = match plan {
-                Some(p) => p,
-                None if use_plan => {
-                    // 3. Miss: bind + optimize the *parameterized*
-                    // statement so the resulting plan is a reusable
-                    // template, store it, then substitute this
-                    // statement's own literals back in.
-                    self.plan_cache.misses.fetch_add(1, Ordering::Relaxed);
-                    let template = Binder::with_params(&view, memo.params.clone())
-                        .bind_select(&memo.template_stmt)?;
-                    let template = opt::optimize(template, self.opt_flags, &stats, &view)?;
-                    let substituted = plan_cache::substitute_params(&template, &memo.params)
-                        .unwrap_or_else(|| template.clone());
-                    if cacheable {
-                        if let Some(deps) = plan_cache::collect_deps(&template, &txn.tables) {
-                            self.plan_cache.put(
-                                pkey,
-                                PlanEntry { plan: template, deps },
-                                self.exec_opts.plan_cache_bytes,
-                            );
-                        }
-                    }
-                    substituted
-                }
-                None => {
-                    // Plan cache disabled (result cache only): plain
-                    // bind + optimize of the original statement.
-                    let p = Binder::new(&view).bind_select(&memo.original_stmt)?;
-                    opt::optimize(p, self.opt_flags, &stats, &view)?
-                }
-            };
-            // Re-fold now that parameter slots are concrete literals, so
-            // every literal-driven execution fast path (zonemap probes,
-            // dictionary predicate compilation, imprints) sees the same
-            // shapes as an uncached plan.
-            let plan = opt::fold_constants(plan)?;
-
-            let (result, mut counters) = self.execute_select(&plan, &view)?;
-            if plan_hit {
-                counters.plan_cache_hits = 1;
-                self.plan_cache.hits.fetch_add(1, Ordering::Relaxed);
-            }
-            // Populate the result cache from this execution.
-            let store_result = (use_result && cacheable)
-                .then(|| plan_cache::collect_deps(&plan, &txn.tables))
-                .flatten()
-                .map(|deps| (rkey, deps, counters.estimated_rows));
-            (result, counters, store_result)
-        };
-        self.last_counters = Some(counters);
-        if let Some((rkey, deps, estimated_rows)) = store_result {
-            self.result_cache.put(
-                rkey,
-                ResultEntry {
-                    names: result.names.clone(),
-                    types: result.types.clone(),
-                    cols: result.cols.clone(),
-                    rows: result.rows,
-                    estimated_rows,
-                    deps,
-                },
-                self.exec_opts.result_cache_bytes,
-            );
-        }
-        Ok(result)
+    /// Cache key of a statement: its canonical text (literals included)
+    /// plus everything besides the statement and the data that shapes a
+    /// plan or result — optimizer flags, statistics mode, execution
+    /// options and the view catalog's epoch. Any change moves the key, so
+    /// stale entries are simply never looked up again (the LRU ages them
+    /// out).
+    fn cache_key(&self, memo: &StmtMemo, views_epoch: u64) -> String {
+        format!(
+            "{}\u{1}{:?}|{:?}|{:?}|v{views_epoch}",
+            memo.key, self.opt_flags, self.stats_mode, self.exec_opts
+        )
     }
 
     fn run_explain(&mut self, stmt: ast::Statement) -> Result<QueryResult> {
         let ast::Statement::Select(sel) = stmt else {
             return Err(MlError::Unsupported("EXPLAIN is only supported for SELECT".into()));
         };
+        let memo = StmtMemo::build(*sel);
         let txn = self.txn.as_ref().expect("txn");
         let view = TxnView { tables: &txn.tables, views: &txn.views };
+        let plan = self.plan_select(&memo.stmt, &view)?;
         let stats = opt::ModedStats { inner: &view, mode: self.stats_mode };
-        let plan = Binder::new(&view).bind_select(&sel)?;
-        let plan = opt::optimize(plan, self.opt_flags, &stats, &view)?;
         let mut text = mal::explain(&plan, &self.exec_opts, Some(&stats));
         // Cache status for the explained statement: tags appear only when
         // a valid cached artifact exists right now (EXPLAIN itself never
@@ -1002,18 +933,11 @@ impl Connection {
         if (self.exec_opts.use_plan_cache || self.exec_opts.use_result_cache)
             && txn.writes.is_empty()
         {
-            let memo = StmtMemo::build(&sel);
-            let fp = self.cache_fingerprint(txn.views_epoch);
+            let key = self.cache_key(&memo, txn.views_epoch);
             let plan_cached = self.exec_opts.use_plan_cache
-                && self
-                    .plan_cache
-                    .get_valid(&format!("{}\u{1}{}", memo.plan_key, fp), &txn.tables)
-                    .is_some();
+                && self.plan_cache.get_valid(&key, &txn.tables).is_some();
             let result_cached = self.exec_opts.use_result_cache
-                && self
-                    .result_cache
-                    .get_valid(&format!("{}\u{1}{}", memo.result_key, fp), &txn.tables)
-                    .is_some();
+                && self.result_cache.get_valid(&key, &txn.tables).is_some();
             text.push_str(&mal::cache_tags(plan_cached, result_cached));
         }
         let lines: Vec<Option<String>> = text.lines().map(|l| Some(l.to_string())).collect();

@@ -43,7 +43,7 @@ pub fn explain(plan: &Plan, opts: &ExecOptions, stats: Option<&dyn Stats>) -> St
 pub fn cache_tags(plan_cached: bool, result_cached: bool) -> String {
     let mut out = String::new();
     if plan_cached {
-        out.push_str("-- [plan-cache] optimized template cached; bind+optimize skipped on hit\n");
+        out.push_str("-- [plan-cache] optimized plan cached; bind+optimize skipped on hit\n");
     }
     if result_cached {
         out.push_str("-- [result-cache] result set cached; execution skipped on hit\n");

@@ -519,7 +519,6 @@ pub(crate) fn substitute(pred: &BExpr, exprs: &[BExpr]) -> BExpr {
     match pred {
         BExpr::ColRef { idx, .. } => exprs[*idx].clone(),
         BExpr::Lit(v) => BExpr::Lit(v.clone()),
-        BExpr::Param { idx, value } => BExpr::Param { idx: *idx, value: value.clone() },
         BExpr::Cast { input, ty } => {
             BExpr::Cast { input: Box::new(substitute(input, exprs)), ty: *ty }
         }
@@ -925,13 +924,6 @@ fn split_and_refs<'a>(e: &'a BExpr, out: &mut Vec<&'a BExpr>) {
 
 /// Selectivity of one predicate over the output of `input`.
 fn selectivity(pred: &BExpr, input: &Plan, stats: &dyn Stats) -> f64 {
-    // Plan-cache templates estimate with their representative literals so
-    // a template gets the same join order / build sides as the plan the
-    // same statement would get uncached (estimate parity).
-    if pred.has_param() {
-        let repr = pred.resolve_params(&|_, v| v.clone());
-        return selectivity(&repr, input, stats);
-    }
     // A constant predicate selects everything or nothing; the old model
     // charged it a /4 like any other conjunct, which skewed build-side
     // choices downstream (covers un-folded `1 = 1` residuals too).

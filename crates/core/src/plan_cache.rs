@@ -1,16 +1,15 @@
-//! Plan cache: optimized-plan templates keyed on the normalized
-//! statement, shared by every connection of a [`crate::Database`].
+//! Plan cache: optimized plans keyed on the canonical statement,
+//! shared by every connection of a [`crate::Database`].
 //!
 //! The paper's embedded-use argument (§1, §4.2) is that the same process
-//! re-issues many small parameterized queries, so per-query overheads —
-//! parse, bind, optimize — dominate at scale; PR 5's cost-based DPsize
-//! join orderer made optimization meaningfully expensive, which is what
-//! this cache skips on a hit. A template stores the optimized plan with
-//! [`BExpr::Param`] slots where WHERE-clause literals were; replay
-//! substitutes the statement's fresh literals (re-applying the same cast
-//! folds the representative went through) and re-folds constants so
-//! every literal-driven fast path (zonemap probes, dictionary predicate
-//! compilation, imprints) fires exactly as it would uncached.
+//! re-issues many small queries, so per-query overheads — parse, bind,
+//! optimize — matter at scale. The key is the result cache's key: the
+//! canonical statement with its type-tagged literals in place, plus the
+//! option/stats/view fingerprint. A hit skips bind + optimize. Plans
+//! are stored only for statements whose result the result cache did not
+//! keep (it is off, or the result is over its budget): both entries
+//! depend on the same table versions, so a plan whose result is cached
+//! could never be used.
 //!
 //! Soundness rules shared with the result cache:
 //! * Entries are consulted/stored only by transactions with **no
@@ -28,13 +27,11 @@
 //!   invalidation at all: the optimizer flags, stats mode, `ExecOptions`
 //!   and the view epoch are part of the key.
 
-use crate::expr::BExpr;
 use crate::plan::Plan;
 use monetlite_sql::ast::SelectStmt;
 use monetlite_sql::canon;
 use monetlite_storage::catalog::TableMeta;
 use monetlite_storage::store::TEMP_TABLE_ID_BASE;
-use monetlite_types::Value;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -98,180 +95,6 @@ fn collect_scans(p: &Plan, out: &mut Vec<String>) {
 }
 
 // ---------------------------------------------------------------------------
-// Parameter substitution over whole plans
-// ---------------------------------------------------------------------------
-
-/// Rewrite every expression in the plan through `f` (used to replace
-/// [`BExpr::Param`] slots with fresh literals before execution).
-pub fn map_plan_exprs(p: &Plan, f: &dyn Fn(&BExpr) -> BExpr) -> Plan {
-    match p {
-        Plan::Scan { table, projected, filters, schema } => Plan::Scan {
-            table: table.clone(),
-            projected: projected.clone(),
-            filters: filters.iter().map(f).collect(),
-            schema: schema.clone(),
-        },
-        Plan::Filter { input, pred } => {
-            Plan::Filter { input: Box::new(map_plan_exprs(input, f)), pred: f(pred) }
-        }
-        Plan::Project { input, exprs, schema } => Plan::Project {
-            input: Box::new(map_plan_exprs(input, f)),
-            exprs: exprs.iter().map(f).collect(),
-            schema: schema.clone(),
-        },
-        Plan::Join { left, right, kind, left_keys, right_keys, residual, schema } => Plan::Join {
-            left: Box::new(map_plan_exprs(left, f)),
-            right: Box::new(map_plan_exprs(right, f)),
-            kind: *kind,
-            left_keys: left_keys.iter().map(f).collect(),
-            right_keys: right_keys.iter().map(f).collect(),
-            residual: residual.as_ref().map(f),
-            schema: schema.clone(),
-        },
-        Plan::Aggregate { input, groups, aggs, schema } => Plan::Aggregate {
-            input: Box::new(map_plan_exprs(input, f)),
-            groups: groups.iter().map(f).collect(),
-            aggs: aggs
-                .iter()
-                .map(|a| crate::expr::AggSpec {
-                    func: a.func,
-                    arg: a.arg.as_ref().map(f),
-                    distinct: a.distinct,
-                    ty: a.ty,
-                })
-                .collect(),
-            schema: schema.clone(),
-        },
-        Plan::Sort { input, keys } => {
-            Plan::Sort { input: Box::new(map_plan_exprs(input, f)), keys: keys.clone() }
-        }
-        Plan::Limit { input, n } => {
-            Plan::Limit { input: Box::new(map_plan_exprs(input, f)), n: *n }
-        }
-        Plan::TopN { input, keys, n } => {
-            Plan::TopN { input: Box::new(map_plan_exprs(input, f)), keys: keys.clone(), n: *n }
-        }
-        Plan::Distinct { input } => Plan::Distinct { input: Box::new(map_plan_exprs(input, f)) },
-        Plan::Values { rows, schema } => Plan::Values {
-            rows: rows.iter().map(|r| r.iter().map(f).collect()).collect(),
-            schema: schema.clone(),
-        },
-    }
-}
-
-/// Substitute fresh literals for the template's parameter slots,
-/// coercing each to the representative's type (the casts the template's
-/// binding folded away). `None` when a fresh value cannot take the
-/// template's type — the caller falls back to a full replan.
-pub fn substitute_params(template: &Plan, fresh: &[Value]) -> Option<Plan> {
-    let mut coerced: Vec<Option<Value>> = vec![None; fresh.len()];
-    let mut ok = true;
-    visit_plan_exprs(template, &mut |e| {
-        walk_params(e, &mut |idx, repr| {
-            if !ok {
-                return;
-            }
-            match fresh.get(idx).and_then(|v| crate::bind::coerce_param_value(v, repr)) {
-                Some(c) => coerced[idx] = Some(c),
-                None => ok = false,
-            }
-        })
-    });
-    if !ok {
-        return None;
-    }
-    Some(map_plan_exprs(template, &|e| {
-        e.resolve_params(&|idx, repr| {
-            coerced.get(idx).and_then(|c| c.clone()).unwrap_or_else(|| repr.clone())
-        })
-    }))
-}
-
-/// Visit every expression position in the plan once (read-only).
-fn visit_plan_exprs(p: &Plan, f: &mut dyn FnMut(&BExpr)) {
-    match p {
-        Plan::Scan { filters, .. } => {
-            for e in filters {
-                f(e);
-            }
-        }
-        Plan::Filter { input, pred } => {
-            visit_plan_exprs(input, f);
-            f(pred);
-        }
-        Plan::Project { input, exprs, .. } => {
-            visit_plan_exprs(input, f);
-            for e in exprs {
-                f(e);
-            }
-        }
-        Plan::Join { left, right, left_keys, right_keys, residual, .. } => {
-            visit_plan_exprs(left, f);
-            visit_plan_exprs(right, f);
-            for e in left_keys.iter().chain(right_keys.iter()) {
-                f(e);
-            }
-            if let Some(r) = residual {
-                f(r);
-            }
-        }
-        Plan::Aggregate { input, groups, aggs, .. } => {
-            visit_plan_exprs(input, f);
-            for e in groups {
-                f(e);
-            }
-            for a in aggs {
-                if let Some(arg) = &a.arg {
-                    f(arg);
-                }
-            }
-        }
-        Plan::Sort { input, .. }
-        | Plan::Limit { input, .. }
-        | Plan::TopN { input, .. }
-        | Plan::Distinct { input } => visit_plan_exprs(input, f),
-        Plan::Values { rows, .. } => {
-            for e in rows.iter().flatten() {
-                f(e);
-            }
-        }
-    }
-}
-
-fn walk_params(e: &BExpr, f: &mut dyn FnMut(usize, &Value)) {
-    match e {
-        BExpr::Param { idx, value } => f(*idx, value),
-        BExpr::ColRef { .. } | BExpr::Lit(_) => {}
-        BExpr::Cast { input, .. } | BExpr::Not(input) | BExpr::Neg { input, .. } => {
-            walk_params(input, f)
-        }
-        BExpr::IsNull { input, .. } | BExpr::Like { input, .. } => walk_params(input, f),
-        BExpr::Arith { left, right, .. } | BExpr::Cmp { left, right, .. } => {
-            walk_params(left, f);
-            walk_params(right, f);
-        }
-        BExpr::And(a, b) | BExpr::Or(a, b) => {
-            walk_params(a, f);
-            walk_params(b, f);
-        }
-        BExpr::Case { branches, else_expr, .. } => {
-            for (c, v) in branches {
-                walk_params(c, f);
-                walk_params(v, f);
-            }
-            if let Some(e) = else_expr {
-                walk_params(e, f);
-            }
-        }
-        BExpr::Func { args, .. } => {
-            for a in args {
-                walk_params(a, f);
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // LRU with a byte budget
 // ---------------------------------------------------------------------------
 
@@ -308,11 +131,14 @@ impl<V> Lru<V> {
         Some(slot.v.clone())
     }
 
-    pub fn put(&self, key: String, v: Arc<V>, bytes: usize, budget: usize) {
+    /// Insert `v`, evicting least-recently-used entries past `budget`.
+    /// Returns false when the entry alone is over the budget and was not
+    /// stored.
+    pub fn put(&self, key: String, v: Arc<V>, bytes: usize, budget: usize) -> bool {
         let mut g = self.inner.lock().expect("cache lock");
         // One entry larger than the whole budget is not cacheable.
         if bytes > budget {
-            return;
+            return false;
         }
         g.tick += 1;
         let tick = g.tick;
@@ -330,6 +156,7 @@ impl<V> Lru<V> {
                 g.bytes -= s.bytes;
             }
         }
+        true
     }
 
     pub fn remove(&self, key: &str) {
@@ -358,56 +185,41 @@ impl<V> Lru<V> {
 // Statement memo and the plan cache proper
 // ---------------------------------------------------------------------------
 
-/// Pure, per-text normalization memo entry: everything derivable from
-/// the SQL text alone (no catalog state), so it can never go stale. A
-/// repeat of the *exact* text skips the parser as well as the binder.
+/// Per-text statement memo entry: the parsed SELECT and its canonical
+/// key. Both derive from the SQL text alone (no catalog state), so an
+/// entry can never go stale; a repeat of the exact text skips the parser.
 pub struct StmtMemo {
-    /// Canonical rendering of the statement with literals in place (the
-    /// result-cache key material).
-    pub result_key: String,
-    /// Canonical rendering of the parameterized statement (the plan
-    /// -cache key material).
-    pub plan_key: String,
-    /// Extracted WHERE-clause literals, aligned with the `?N` slots.
-    pub params: Vec<Value>,
-    /// The parameterized AST (template binding input).
-    pub template_stmt: SelectStmt,
-    /// The original AST (cache-off / fallback binding input).
-    pub original_stmt: SelectStmt,
+    /// Canonical rendering with type-tagged literals (the key material
+    /// of both caches).
+    pub key: String,
+    /// The parsed statement.
+    pub stmt: SelectStmt,
 }
 
 impl StmtMemo {
-    /// Normalize a parsed SELECT.
-    pub fn build(sel: &SelectStmt) -> StmtMemo {
-        let result_key = canon::canon_select_full(sel);
-        let n = canon::normalize_select(sel);
-        StmtMemo {
-            result_key,
-            plan_key: n.key,
-            params: n.params,
-            template_stmt: n.stmt,
-            original_stmt: sel.clone(),
-        }
+    /// Memoize a parsed SELECT.
+    pub fn build(stmt: SelectStmt) -> StmtMemo {
+        StmtMemo { key: canon::canon_select_full(&stmt), stmt }
     }
 }
 
-/// One cached plan template.
+/// One cached optimized plan.
 pub struct PlanEntry {
-    /// Optimized plan with `BExpr::Param` slots.
+    /// The optimized plan, literals in place.
     pub plan: Plan,
     /// Input-table fingerprints at store time.
     pub deps: Vec<Dep>,
 }
 
-/// The shared plan cache: a text → normalization memo plus the template
-/// store. Hit/miss/invalidation counters aggregate across connections.
+/// The shared plan cache: a text → statement memo plus the plan store.
+/// Hit/miss/invalidation counters aggregate across connections.
 #[derive(Default)]
 pub struct PlanCache {
     memo: Mutex<HashMap<String, Arc<StmtMemo>>>,
-    templates: Lru<PlanEntry>,
-    /// Template hits (bind+optimize skipped).
+    plans: Lru<PlanEntry>,
+    /// Plan hits (bind+optimize skipped).
     pub hits: AtomicU64,
-    /// Template misses (statement fully planned).
+    /// Plan misses (statement fully planned).
     pub misses: AtomicU64,
     /// Hits rejected because a dependency's id/version moved.
     pub invalidations: AtomicU64,
@@ -419,12 +231,12 @@ pub struct PlanCache {
 const MEMO_CAP: usize = 4096;
 
 impl PlanCache {
-    /// The memoized normalization of `sql`, if this exact text was seen.
+    /// The memoized statement for `sql`, if this exact text was seen.
     pub fn memo_get(&self, sql: &str) -> Option<Arc<StmtMemo>> {
         self.memo.lock().expect("memo lock").get(sql).cloned()
     }
 
-    /// Memoize a normalization under its exact text.
+    /// Memoize a statement under its exact text.
     pub fn memo_put(&self, sql: &str, m: Arc<StmtMemo>) {
         let mut g = self.memo.lock().expect("memo lock");
         if g.len() >= MEMO_CAP {
@@ -433,43 +245,43 @@ impl PlanCache {
         g.insert(sql.to_string(), m);
     }
 
-    /// Fetch a template if its dependencies still hold for `tables`.
+    /// Fetch a plan if its dependencies still hold for `tables`.
     pub fn get_valid(
         &self,
         key: &str,
         tables: &HashMap<String, Arc<TableMeta>>,
     ) -> Option<Arc<PlanEntry>> {
-        let entry = self.templates.get(key)?;
+        let entry = self.plans.get(key)?;
         if deps_valid(&entry.deps, tables) {
             Some(entry)
         } else {
             self.invalidations.fetch_add(1, Ordering::Relaxed);
-            self.templates.remove(key);
+            self.plans.remove(key);
             None
         }
     }
 
-    /// Store a template under `key` within `budget` bytes.
+    /// Store a plan under `key` within `budget` bytes.
     pub fn put(&self, key: String, entry: PlanEntry, budget: usize) {
         // Plans are small trees; a coarse per-node proxy keeps the LRU
         // honest without a deep byte count.
         let bytes = key.len() + plan_weight(&entry.plan) + entry.deps.len() * 64 + 128;
-        self.templates.put(key, Arc::new(entry), bytes, budget);
+        self.plans.put(key, Arc::new(entry), bytes, budget);
     }
 
-    /// Number of cached templates.
+    /// Number of cached plans.
     pub fn len(&self) -> usize {
-        self.templates.len()
+        self.plans.len()
     }
 
-    /// True when no templates are cached.
+    /// True when no plans are cached.
     pub fn is_empty(&self) -> bool {
-        self.templates.len() == 0
+        self.plans.len() == 0
     }
 
     /// Drop everything (tests).
     pub fn clear(&self) {
-        self.templates.clear();
+        self.plans.clear();
         self.memo.lock().expect("memo lock").clear();
     }
 }
@@ -555,7 +367,7 @@ mod tests {
         assert!(lru.get("c").is_some());
         assert!(lru.bytes() <= 1000);
         // Oversized entries are refused outright.
-        lru.put("huge".into(), Arc::new(9), 2000, 1000);
+        assert!(!lru.put("huge".into(), Arc::new(9), 2000, 1000));
         assert!(lru.get("huge").is_none());
     }
 }

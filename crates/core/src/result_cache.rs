@@ -1,6 +1,6 @@
 //! Result cache: full result sets for identical read-only statements,
-//! keyed on the canonical statement *with* literals plus the same
-//! option/stats/view fingerprint as the plan cache.
+//! keyed, like the plan cache, on the canonical statement with its
+//! literals plus the option/stats/view fingerprint.
 //!
 //! A hit returns the stored columns by `Arc` clone — no parse, bind,
 //! optimize, or execution. Correctness comes from the same lazy
@@ -73,10 +73,11 @@ impl ResultCache {
         }
     }
 
-    /// Store a result under `key` within `budget` bytes.
-    pub fn put(&self, key: String, entry: ResultEntry, budget: usize) {
+    /// Store a result under `key` within `budget` bytes. Returns false
+    /// when the result alone is over the budget and was not stored.
+    pub fn put(&self, key: String, entry: ResultEntry, budget: usize) -> bool {
         let bytes = key.len() + entry.mem_bytes();
-        self.entries.put(key, Arc::new(entry), bytes, budget);
+        self.entries.put(key, Arc::new(entry), bytes, budget)
     }
 
     /// Number of cached results.

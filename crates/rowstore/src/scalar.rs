@@ -20,9 +20,6 @@ pub fn eval_row(e: &BExpr, row: &[Value]) -> Result<Value> {
             .cloned()
             .ok_or_else(|| MlError::Execution(format!("column #{idx} out of row")))?),
         BExpr::Lit(v) => Ok(v.clone()),
-        BExpr::Param { idx, .. } => {
-            Err(MlError::Execution(format!("unsubstituted plan-cache parameter ?{idx}")))
-        }
         BExpr::Cast { input, ty } => {
             let v = eval_row(input, row)?;
             cast_value(v, *ty)

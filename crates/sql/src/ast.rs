@@ -284,13 +284,6 @@ pub enum Expr {
     },
     /// Constant.
     Literal(Value),
-    /// Bind-parameter placeholder produced by the plan-cache normalizer
-    /// (`canon::normalize_select`); the parser never emits this. `index`
-    /// is the 0-based slot in the extracted parameter vector.
-    Param {
-        /// 0-based slot in the bind vector.
-        index: usize,
-    },
     /// `INTERVAL '90' DAY`.
     Interval {
         /// Signed magnitude.
@@ -422,9 +415,7 @@ impl Expr {
     pub fn contains_aggregate(&self) -> bool {
         match self {
             Expr::Agg { .. } => true,
-            Expr::Column { .. } | Expr::Literal(_) | Expr::Param { .. } | Expr::Interval { .. } => {
-                false
-            }
+            Expr::Column { .. } | Expr::Literal(_) | Expr::Interval { .. } => false,
             Expr::Binary { left, right, .. } => {
                 left.contains_aggregate() || right.contains_aggregate()
             }
@@ -466,7 +457,6 @@ impl std::fmt::Display for Expr {
                 Value::Date(_) => write!(f, "date '{v}'"),
                 other => write!(f, "{other}"),
             },
-            Expr::Param { index } => write!(f, "?{index}"),
             Expr::Interval { value, unit } => {
                 let u = match unit {
                     IntervalUnit::Day => "day",

@@ -4,7 +4,8 @@
 //!   caches on (cold), and on the second (cache-hit) execution.
 //! * Counters prove the fast paths really fire: a plan-cache hit skips
 //!   bind+optimize (`plan_cache_hits`), a result-cache hit skips
-//!   execution entirely (`result_cache_hits`).
+//!   execution entirely (`result_cache_hits`). Keys carry literals, and
+//!   a plan is stored only when its result is not.
 //! * Stale-plan coverage: DROP/CREATE of a same-named table or view,
 //!   INSERTs bumping the table `version`, stats-mode flips, and
 //!   `ExecOptions` changes must all prevent stale replays.
@@ -82,20 +83,34 @@ fn all_22_goldens_byte_identical_cache_on_off_and_hit() {
 }
 
 #[test]
-fn plan_cache_hit_skips_bind_and_optimize_with_fresh_literals() {
-    let (_db, mut conn) = tiny_db();
-    // Cold: parse+bind+optimize, template stored.
-    assert_eq!(one_col(&mut conn, "SELECT x FROM t WHERE x > 7 ORDER BY x"), ["10", "50"]);
+fn plan_cache_hits_exact_repeats_only_when_result_not_cached() {
+    let (db, mut conn) = tiny_db();
+    conn.set_exec_options(ExecOptions { use_result_cache: false, ..cached_opts() });
+    let sql = "SELECT x FROM t WHERE x > 7 ORDER BY x";
+    // Cold: parse+bind+optimize, plan stored.
+    assert_eq!(one_col(&mut conn, sql), ["10", "50"]);
     let cold = conn.last_exec_counters().unwrap();
     assert_eq!(cold.plan_cache_hits, 0);
-    assert_eq!(cold.result_cache_hits, 0);
-    // Same shape, different literal: the normalized template must be
-    // replayed with the fresh binding — a plan hit, not a result hit,
-    // and the answer must reflect the *new* literal.
-    assert_eq!(one_col(&mut conn, "SELECT x FROM t WHERE x > 2 ORDER BY x"), ["5", "10", "50"]);
+    assert_eq!(db.plan_cache().len(), 1);
+    // Exact repeat with the result cache off: a plan hit, and execution
+    // still runs.
+    assert_eq!(one_col(&mut conn, sql), ["10", "50"]);
     let hit = conn.last_exec_counters().unwrap();
-    assert_eq!(hit.plan_cache_hits, 1, "parameterized repeat must hit the plan cache");
-    assert_eq!(hit.result_cache_hits, 0, "different literal must not hit the result cache");
+    assert_eq!(hit.plan_cache_hits, 1, "exact repeat must hit the plan cache");
+    assert_eq!(hit.result_cache_hits, 0);
+    // A new literal is a new key: a miss that answers for its own literal.
+    assert_eq!(one_col(&mut conn, "SELECT x FROM t WHERE x > 2 ORDER BY x"), ["5", "10", "50"]);
+    assert_eq!(conn.last_exec_counters().unwrap().plan_cache_hits, 0, "new literal must miss");
+    // With the result cache on, a repeat is a result hit and no plan is
+    // stored: the plan could never be used while its result is cached.
+    db.plan_cache().clear();
+    conn.set_exec_options(cached_opts());
+    assert_eq!(one_col(&mut conn, sql), ["10", "50"]);
+    assert_eq!(one_col(&mut conn, sql), ["10", "50"]);
+    let c = conn.last_exec_counters().unwrap();
+    assert_eq!(c.result_cache_hits, 1, "repeat must be a result hit");
+    assert_eq!(c.plan_cache_hits, 0);
+    assert_eq!(db.plan_cache().len(), 0, "no plan stored beside a cached result");
 }
 
 #[test]
@@ -227,15 +242,23 @@ fn explain_reports_cache_status_tags() {
     let cold = explain(&mut conn);
     assert!(!cold.contains("[plan-cache]"), "cold EXPLAIN must not claim a cached plan");
     assert!(!cold.contains("[result-cache]"), "cold EXPLAIN must not claim a cached result");
-    // Prime both caches, then EXPLAIN again: both tags appear.
+    // Prime the result cache, then EXPLAIN again: the result tag appears
+    // (no plan is stored beside a cached result).
     conn.query(sql).unwrap();
     let hot = explain(&mut conn);
-    assert!(hot.contains("[plan-cache]"), "primed EXPLAIN should report the cached template");
     assert!(hot.contains("[result-cache]"), "primed EXPLAIN should report the cached result");
+    assert!(!hot.contains("[plan-cache]"), "no plan is cached beside a cached result");
     // EXPLAIN itself must not have populated or consumed the result
     // cache: the next real execution is still a hit.
     assert_eq!(one_col(&mut conn, sql), ["10", "50"]);
     assert_eq!(conn.last_exec_counters().unwrap().result_cache_hits, 1);
+    // With the result cache off, priming stores the plan instead.
+    conn.set_exec_options(ExecOptions { use_result_cache: false, ..cached_opts() });
+    assert!(!explain(&mut conn).contains("[plan-cache]"), "new options, cold plan cache");
+    conn.query(sql).unwrap();
+    let hot = explain(&mut conn);
+    assert!(hot.contains("[plan-cache]"), "primed EXPLAIN should report the cached plan");
+    assert!(!hot.contains("[result-cache]"), "result cache is off");
 }
 
 #[test]

@@ -333,7 +333,7 @@ proptest! {
                 OptFlags { join_dp: false, ..OptFlags::default() },
             ),
             // Cache-tier legs forced on: the identical repeat below
-            // replays the cached template/result even under the
+            // replays the cached plan/result even under the
             // MONETLITE_PLAN_CACHE=0 / MONETLITE_RESULT_CACHE=0 CI legs.
             (
                 "caches forced on",
